@@ -8,22 +8,30 @@ smallest client support of any recoverable combination. A minimum support
 of at least the partition size certifies long-term privacy; a recoverable
 unit vector is an individual exposure.
 
+The support search runs over parallel classes. Proportional columns are
+zero or nonzero together in every recoverable vector, so each support is a
+union of whole classes, weighted by their satellite counts. In a window of
+rank r the largest zero sets are the hyperplanes of the class matroid, and
+each is spanned by r - 1 independent classes. The search therefore makes
+C(classes, r - 1) exact solves and is exponential only in the window's rank
+(at most its number of rounds). Every window gets an exact verdict. Finding
+a minimum-weight codeword is NP-hard in general (Vardy 1997), so no
+polynomial bound in the rank is to be expected.
+
 No floating point is used anywhere in the span tests: float rank decisions
 can both fabricate and hide leaks.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .eventlog import EventLogHeader, RoundRecord
-
-MAX_AUDIT_COLUMNS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -68,44 +76,31 @@ def _integerize(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def _int_rank(rows: list[list[int]], cols: Sequence[int] | None = None) -> int:
-    """Rank by exact integer elimination on the selected columns."""
-    if cols is not None:
-        rows = [[row[c] for c in cols] for row in rows]
-    work = [row[:] for row in rows if any(row)]
-    if not work:
-        return 0
-    n_cols = len(work[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        p = work[rank][col]
-        for r in range(rank + 1, len(work)):
-            q = work[r][col]
-            if q == 0:
-                continue
-            row = [p * a - q * b for a, b in zip(work[r], work[rank])]
-            g = 0
-            for v in row:
-                g = math.gcd(g, v)
-            work[r] = [v // g for v in row] if g > 1 else row
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in m]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
-def _columns_proportional(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-    """Exact proportionality of two nonzero columns (cross-multiplication)."""
-    anchor = next((i for i in range(len(u)) if u[i] != 0 or v[i] != 0), None)
-    if anchor is None:
-        return True
-    if u[anchor] == 0 or v[anchor] == 0:
-        return False
-    return all(u[i] * v[anchor] == v[i] * u[anchor] for i in range(len(u)))
+def _normal(vectors: Sequence[Sequence[int]], dim: int) -> list[int]:
+    """Generalised cross product of dim - 1 integer vectors in Z^dim.
+
+    It is orthogonal to every one of them, and zero iff they are dependent.
+    """
+    return [(-1) ** i * _det([v[:i] + v[i + 1:] for v in vectors]) for i in range(dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +112,6 @@ class ObservationRecord:
 
     round_index: int
     coefficients: dict[int, Fraction]
-    global_model_id: str = ""
 
 
 @dataclass
@@ -160,13 +154,7 @@ def observation_records(
                     coeffs[k] = beta
                 else:
                     coeffs[k] = beta * Fraction(header.data_sizes[k], total)
-        out.append(
-            ObservationRecord(
-                round_index=rec.round_index,
-                coefficients=coeffs,
-                global_model_id=f"w^{rec.round_index + 1}",
-            )
-        )
+        out.append(ObservationRecord(round_index=rec.round_index, coefficients=coeffs))
     return out
 
 
@@ -207,11 +195,6 @@ def build_observation_matrix(
     )
 
 
-def row_space_basis(matrix: ObservationMatrix) -> list[list[Fraction]]:
-    """Reduced row-echelon basis of the server's recoverable combinations."""
-    return rref(matrix.rows)
-
-
 # ---------------------------------------------------------------------------
 # Leakage analysis
 
@@ -222,7 +205,6 @@ class LeakageReport:
     window: tuple[int, int]
     ltp_level: int
     rank: int
-    basis: tuple[tuple[Fraction, ...], ...]
     min_support: int | None  # None: nothing recoverable at all
     individually_exposed: tuple[int, ...]
     verdict: str
@@ -242,146 +224,82 @@ class LeakageReport:
         }
 
 
-def _proportional_blocks(matrix: ObservationMatrix) -> list[tuple[int, ...]]:
-    """Group satellite columns into verified proportionality classes.
-
-    Columns are only merged when they belong to the same declared partition
-    AND are exactly proportional across all rows; a declared partition whose
-    columns fail the check is split, which keeps the support analysis sound.
-    Zero columns (satellites outside every recoverable combination) are
-    dropped.
-    """
-    blocks: list[tuple[int, ...]] = []
-    by_partition: dict[object, list[int]] = {}
-    for sat in matrix.satellites:
-        col = matrix.column(sat)
-        if all(v == 0 for v in col):
-            continue
-        by_partition.setdefault(matrix.partition_of.get(sat, f"sat-{sat}"), []).append(sat)
-    for sats in by_partition.values():
-        classes: list[list[int]] = []
-        for sat in sats:
-            col = matrix.column(sat)
-            for cls in classes:
-                if _columns_proportional(col, matrix.column(cls[0])):
-                    cls.append(sat)
-                    break
-            else:
-                classes.append([sat])
-        blocks.extend(tuple(cls) for cls in classes)
-    return sorted(blocks)
+def _parallel_classes(
+    basis: Sequence[Sequence[Fraction]], satellites: Sequence[int]
+) -> list[tuple[list[int], tuple[int, ...]]]:
+    """Nonzero columns grouped by direction: (primitive integer direction,
+    satellites), in order of first appearance. Zero columns are dropped."""
+    classes: dict[tuple[Fraction, ...], list[int]] = {}
+    for j, sat in enumerate(satellites):
+        col = [row[j] for row in basis]
+        lead = next((v for v in col if v != 0), None)
+        if lead is not None:
+            classes.setdefault(tuple(v / lead for v in col), []).append(sat)
+    return [(_integerize([key])[0], tuple(sats)) for key, sats in classes.items()]
 
 
-def _enumerate_supports(
-    basis_int: list[list[int]],
-    blocks: list[tuple[int, ...]],
-    rank: int,
-    budget: int,
-) -> int | None:
-    """Smallest total satellite support over achievable block subsets.
-
-    A subset S is achievable when some nonzero row-space vector lives
-    entirely on S's columns, i.e. removing S's columns drops the rank.
-    Subsets are visited in ascending total support, so the first hit is the
-    minimum.
-    """
-    n = len(blocks)
-    if n == 0 or rank == 0:
-        return None
-    sizes = [len(b) for b in blocks]
-    heap: list[tuple[int, tuple[int, ...]]] = [(sizes[i], (i,)) for i in range(n)]
-    heapq.heapify(heap)
-    tested = 0
-    while heap:
-        total, idxs = heapq.heappop(heap)
-        tested += 1
-        if tested > budget:
-            raise ValueError(
-                "subset enumeration budget exceeded; shrink the audit window or "
-                "reduce the constellation size"
-            )
-        chosen = set(idxs)
-        complement = [i for i in range(n) if i not in chosen]
-        if _int_rank(basis_int, complement) < rank:
-            return total
-        for nxt in range(idxs[-1] + 1, n):
-            heapq.heappush(heap, (total + sizes[nxt], idxs + (nxt,)))
-    return None
-
-
-def min_support_leakage(
-    matrix: ObservationMatrix,
-    ltp_level: int,
-    *,
-    subset_budget: int = 200_000,
-) -> LeakageReport:
+def min_support_leakage(matrix: ObservationMatrix, ltp_level: int) -> LeakageReport:
     """Exact leakage verdict for one window.
 
-    Satellites sharing a partition have proportional columns, so support is
-    analysed over collapsed block columns; the verdict passes when every
-    recoverable combination touches at least ``ltp_level`` satellites and no
-    unit vector is recoverable.
+    Columns are grouped into parallel classes across the whole matrix. For
+    every r - 1 independent classes (r the rank) the normal n of their span
+    gives the recoverable vector n·B, whose support is every class off that
+    hyperplane. The smallest such support is the exact minimum support,
+    found with C(classes, r - 1) exact solves; a rank-1 window needs one.
+    A satellite is exposed iff it is a class of its own and some hyperplane
+    holds every other class, i.e. removing it drops the rank. The verdict
+    passes when every recoverable combination touches at least
+    ``ltp_level`` satellites and no unit vector is recoverable.
     """
-    active = [s for s in matrix.satellites if any(v != 0 for v in matrix.column(s))]
-    if len(active) > MAX_AUDIT_COLUMNS:
-        raise ValueError(
-            f"{len(active)} active columns exceed the exact brute-force budget "
-            f"({MAX_AUDIT_COLUMNS}); shrink the audit window"
-        )
     basis = rref(matrix.rows)
     rank = len(basis)
-    if rank == 0:
-        return LeakageReport(
-            window=matrix.window,
-            ltp_level=ltp_level,
-            rank=0,
-            basis=(),
-            min_support=None,
-            individually_exposed=(),
-            verdict=f"LTP-PASS({ltp_level})",
-        )
-
-    blocks = _proportional_blocks(matrix)
-    sat_index = {s: i for i, s in enumerate(matrix.satellites)}
-    # Collapsed matrix: one representative column per block.
-    collapsed = [[row[sat_index[b[0]]] for b in blocks] for row in basis]
-    collapsed_int = _integerize(collapsed)
-    min_support = _enumerate_supports(collapsed_int, blocks, rank, subset_budget)
-
-    basis_int = _integerize(basis)
-    exposed = []
-    for block in blocks:
-        if len(block) != 1:
-            continue  # a unit vector cannot hide inside a multi-member block
-        sat = block[0]
-        unit = [0] * len(matrix.satellites)
-        unit[sat_index[sat]] = 1
-        if _int_rank(basis_int + [unit]) == rank:
-            exposed.append(sat)
+    classes = _parallel_classes(basis, matrix.satellites)
+    directions = [d for d, _ in classes]
+    min_support = None
+    lone: set[int] = set()  # classes that are alone off some hyperplane
+    for spanning in combinations(directions, rank - 1) if rank else ():
+        normal = _normal(spanning, rank)
+        if not any(normal):
+            continue  # dependent classes span no hyperplane
+        support = [
+            c for c, d in enumerate(directions) if sum(a * b for a, b in zip(normal, d))
+        ]
+        weight = sum(len(classes[c][1]) for c in support)
+        if min_support is None or weight < min_support:
+            min_support = weight
+        if len(support) == 1:
+            lone.add(support[0])
+    exposed = sorted(classes[c][1][0] for c in lone if len(classes[c][1]) == 1)
 
     ok = (min_support is None or min_support >= ltp_level) and not exposed
     return LeakageReport(
         window=matrix.window,
         ltp_level=ltp_level,
         rank=rank,
-        basis=tuple(tuple(row) for row in basis),
         min_support=min_support,
-        individually_exposed=tuple(sorted(exposed)),
+        individually_exposed=tuple(exposed),
         verdict=f"LTP-PASS({ltp_level})" if ok else "LTP-FAIL",
     )
 
 
-def direct_min_support(matrix: ObservationMatrix, *, subset_budget: int = 2_000_000) -> int | None:
-    """Satellite-level brute force (no block collapsing); oracle for small K."""
+def direct_min_support(matrix: ObservationMatrix) -> int | None:
+    """Satellite-level brute force, kept as an independent test oracle.
+
+    A set of columns carries a nonzero recoverable vector iff deleting those
+    columns drops the rank. Sets of nonzero columns are tried in ascending
+    size, each with its own ``rref``; exponential in the satellite count.
+    """
     basis = rref(matrix.rows)
     rank = len(basis)
     if rank == 0:
         return None
-    active = [s for s in matrix.satellites if any(v != 0 for v in matrix.column(s))]
-    sat_index = {s: i for i, s in enumerate(matrix.satellites)}
-    cols = [[row[sat_index[s]] for s in active] for row in basis]
-    singleton_blocks = [(s,) for s in active]
-    return _enumerate_supports(_integerize(cols), singleton_blocks, rank, subset_budget)
+    active = [j for j in range(len(matrix.satellites)) if any(row[j] for row in basis)]
+    for size in range(1, len(active)):
+        for cut in combinations(active, size):
+            keep = [j for j in active if j not in cut]
+            if len(rref([[row[j] for j in keep] for row in basis])) < rank:
+                return size
+    return len(active)  # deleting every nonzero column leaves rank 0
 
 
 def check_partition_structure(matrix: ObservationMatrix, data_sizes: Mapping[int, int]) -> bool:
@@ -421,7 +339,6 @@ def ltp_verdict_over_run(
     window_rounds: int = 5,
     *,
     colluders: Sequence[int] = (),
-    subset_budget: int = 200_000,
 ) -> list[LeakageReport]:
     """Audit every sliding window of consecutive rounds; pass iff all pass."""
     if window_rounds < 1:
@@ -435,7 +352,7 @@ def ltp_verdict_over_run(
     for start in range(first, max(first, last - window_rounds + 1) + 1):
         window = (start, start + window_rounds - 1)
         matrix = build_observation_matrix(header, records, window, colluders=colluders)
-        reports.append(min_support_leakage(matrix, level, subset_budget=subset_budget))
+        reports.append(min_support_leakage(matrix, level))
     return reports
 
 

@@ -1,7 +1,10 @@
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltpfleo.eventlog import EventLogHeader, RoundRecord
 from ltpfleo.privacy_audit import (
@@ -14,7 +17,6 @@ from ltpfleo.privacy_audit import (
     min_support_leakage,
     observation_records,
     rref,
-    row_space_basis,
 )
 
 F = Fraction
@@ -224,7 +226,9 @@ class TestMinSupportLeakage:
             blocked = min_support_leakage(m, block_size)
             assert blocked.min_support == direct_min_support(m)
 
-    def test_budget_guard(self):
+    def test_wide_rank_one_window_gets_verdict(self):
+        # 70 equal columns form one parallel class of rank 1, so the only
+        # recoverable vector covers all 70 satellites.
         rows = [[F(1) for _ in range(70)]]
         m = ObservationMatrix(
             satellites=tuple(range(70)),
@@ -232,12 +236,72 @@ class TestMinSupportLeakage:
             rows=rows,
             partition_of={s: s for s in range(70)},
         )
-        with pytest.raises(ValueError, match="brute-force"):
-            min_support_leakage(m, 2)
+        report = min_support_leakage(m, 2)
+        assert report.rank == 1
+        assert report.min_support == 70
+        assert report.individually_exposed == ()
+        assert report.verdict == "LTP-PASS(2)"
 
     def test_row_space_basis_reports_rref(self):
         m = matrix_from_rows([[1, 1, 0], [1, 1, 1]])
-        assert row_space_basis(m) == [[F(1), F(1), F(0)], [F(0), F(0), F(1)]]
+        assert rref(m.rows) == [[F(1), F(1), F(0)], [F(0), F(0), F(1)]]
+
+
+@st.composite
+def audit_matrices(draw):
+    """Small matrices whose columns are zero, multiples of a few shared
+    directions, sums of two of them (so that some sets of classes are
+    dependent), or free. Declared partitions are drawn independently, so
+    parallel columns cross partitions and partitions need not be
+    proportional."""
+    n_rows = draw(st.integers(1, 4))
+    n_cols = draw(st.integers(1, 9))
+    entries = st.integers(-3, 3)
+    directions = draw(
+        st.lists(st.lists(entries, min_size=n_rows, max_size=n_rows), min_size=1, max_size=3)
+    )
+    scales = st.sampled_from([F(1), F(-1), F(2), F(1, 3), F(-5, 2)])
+    cols = []
+    for _ in range(n_cols):
+        kind = draw(st.sampled_from(["zero", "parallel", "parallel", "sum", "free"]))
+        if kind == "zero":
+            cols.append([F(0)] * n_rows)
+        elif kind == "parallel":
+            d = draw(st.sampled_from(directions))
+            scale = draw(scales)
+            cols.append([scale * v for v in d])
+        elif kind == "sum":
+            d, e = draw(st.sampled_from(directions)), draw(st.sampled_from(directions))
+            scale = draw(scales)
+            cols.append([scale * a + b for a, b in zip(d, e)])
+        else:
+            cols.append([F(v) for v in draw(st.lists(entries, min_size=n_rows, max_size=n_rows))])
+    partition_of = {s: draw(st.integers(0, 3)) for s in range(n_cols)}
+    rows = [[cols[j][i] for j in range(n_cols)] for i in range(n_rows)]
+    return ObservationMatrix(
+        satellites=tuple(range(n_cols)),
+        rounds=tuple(range(1, n_rows + 1)),
+        rows=rows,
+        partition_of=partition_of,
+    )
+
+
+class TestMinSupportProperties:
+    @given(audit_matrices(), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_satellite_level_oracles(self, m, level):
+        report = min_support_leakage(m, level)
+        rank = len(rref(m.rows))
+        assert report.rank == rank
+        assert report.min_support == direct_min_support(m)
+        n = len(m.satellites)
+        exposed = tuple(
+            k for k in range(n)
+            if rank and len(rref(m.rows + [[F(int(j == k)) for j in range(n)]])) == rank
+        )
+        assert report.individually_exposed == exposed
+        ok = (report.min_support is None or report.min_support >= level) and not exposed
+        assert report.passed == ok
 
 
 class TestVerdictOverRun:
@@ -271,6 +335,23 @@ class TestVerdictOverRun:
         reports = ltp_verdict_over_run(header, records, window_rounds=2)
         assert reports[0].min_support == 2
         assert reports[0].passed
+
+    def test_full_fairness_windows_pass_quickly(self):
+        # 24 partitions of 2, every partition in every round: the shape of a
+        # full-fairness run once all partitions have joined. Each window is
+        # rank 1 and its only recoverable vector covers all 48 satellites.
+        partitions = {p: (2 * p, 2 * p + 1) for p in range(24)}
+        header = make_header(partitions, {k: 1 + k % 5 for k in range(48)})
+        records = [make_round(t, {p: F(1, 24) for p in range(24)}) for t in range(1, 13)]
+        for start in range(1, 9):
+            window = [r for r in records if start <= r.round_index < start + 5]
+            t0 = time.perf_counter()
+            (report,) = ltp_verdict_over_run(header, window, window_rounds=5)
+            elapsed = time.perf_counter() - t0
+            assert report.rank == 1
+            assert report.min_support == 48
+            assert report.passed
+            assert elapsed < 0.5, f"window {report.window} took {elapsed:.2f} s"
 
     def test_window_count_sliding(self):
         header = make_header({0: (0, 1)}, {0: 1, 1: 1})

@@ -49,9 +49,6 @@ class AggregationWeights:
 
     round_index: int
     beta: dict[int, Fraction]
-    gamma: dict[int, Fraction]
-    data_sizes: dict[int, int]
-    total_data: int
     weight_starved: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -76,37 +73,29 @@ def compute_weights(
 ) -> AggregationWeights:
     """Fair weight of each selected partition from frequency and data share.
 
-    gamma_G = (f_G / sum f) * (|D_G| / |D_selected|), beta_G = gamma_G /
-    sum gamma. A zero frequency total (possible only before anyone has
-    participated) falls back to pure data-size weights; a zero-frequency
-    partition inside a nonzero total gets weight zero and is reported as
-    weight-starved.
+    beta_G = f_G * |D_G| / sum_H f_H * |D_H| over the selection. A zero
+    frequency total (possible only before anyone has participated) falls
+    back to pure data-size weights; a zero-frequency partition inside a
+    nonzero total gets weight zero and is reported as weight-starved.
     """
     if not selected:
         raise ValueError("cannot weight an empty selection")
     sizes = {pid: int(partition_data_sizes[pid]) for pid in selected}
     if any(n < 0 for n in sizes.values()):
         raise ValueError("data sizes must be nonnegative")
-    total_data = sum(sizes.values())
-    if total_data == 0:
+    if sum(sizes.values()) == 0:
         raise ValueError("total data size of the selection is zero")
 
-    freq_total = sum(int(frequencies[pid]) for pid in selected)
-    gamma: dict[int, Fraction] = {}
-    starved = []
-    for pid in selected:
-        size_share = Fraction(sizes[pid], total_data)
-        if freq_total == 0:
-            gamma[pid] = size_share
-        else:
-            f = int(frequencies[pid])
-            gamma[pid] = Fraction(f, freq_total) * size_share
-            if f == 0:
-                starved.append(pid)
-    gamma_total = sum(gamma.values(), start=Fraction(0))
-    if gamma_total == 0:
+    freqs = {pid: int(frequencies[pid]) for pid in selected}
+    if sum(freqs.values()) == 0:
+        mass = sizes
+        starved = []
+    else:
+        mass = {pid: freqs[pid] * sizes[pid] for pid in selected}
+        starved = [pid for pid in selected if freqs[pid] == 0]
+    total = sum(mass.values())
+    if total == 0:
         raise ValueError("all selected partitions have zero weight")
-    beta = {pid: g / gamma_total for pid, g in gamma.items()}
     if starved:
         logger.warning(
             "round %d: partitions %s are weight-starved (zero frequency, zero weight)",
@@ -115,10 +104,7 @@ def compute_weights(
         )
     return AggregationWeights(
         round_index=round_index,
-        beta=beta,
-        gamma=gamma,
-        data_sizes=sizes,
-        total_data=total_data,
+        beta={pid: Fraction(m, total) for pid, m in mass.items()},
         weight_starved=tuple(starved),
     )
 

@@ -7,7 +7,6 @@ round while the band floor rises exactly one per round).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 FULL_FAIRNESS = "t"  # sentinel: tolerance tracks the round index
@@ -123,17 +122,3 @@ def record_round(log: ParticipationLog, selected: Iterable[int], round_index: in
     for pid in chosen:
         log._counts[pid] += 1
 
-
-@dataclass(frozen=True)
-class RoundPlan:
-    """What the server decided for one round."""
-
-    round_index: int
-    candidates: tuple[int, ...]
-    selected: tuple[int, ...]
-    tolerance: object
-    frequencies: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def skipped(self) -> bool:
-        return len(self.selected) == 0

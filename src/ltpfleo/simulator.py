@@ -3,8 +3,10 @@
 Advances simulated time along visibility windows: each round anchors on the
 earliest fully-visible partition, extends to window-overlapping peers,
 filters them through the staleness band, trains the visible members, and
-aggregates with the fair weights. Every decision lands in the event log
-that the privacy auditor and the analysis tooling consume.
+aggregates with the fair weights. The no-partition baseline runs the same
+loop with another participant policy: every satellite visible at the
+earliest contact trains, weighted by data size. Every decision lands in the
+event log that the privacy auditor and the analysis tooling consume.
 
 All randomness flows from the single root seed; subsystem generators are
 derived with fixed tags: (seed, 1) data synthesis, (seed, 2) model init,
@@ -15,17 +17,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, is_dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .aggregation import (
-    AggregationWeights,
     CacheMissError,
     ModelCache,
     ModelVector,
@@ -34,7 +33,7 @@ from .aggregation import (
 )
 from .eventlog import EventLogHeader, RoundRecord, save_checkpoint, write_event_log
 from .orbital import ConstellationSpec, ContactSchedule, GroundStation, compute_visibility
-from .partitioning import PartitionSet, build_partitions, select_candidates
+from .partitioning import Partition, PartitionSet, build_partitions, select_candidates
 from .scheduling import FULL_FAIRNESS, ParticipationLog, record_round, staleness_filter
 from .training import (
     Dataset,
@@ -50,8 +49,6 @@ from .training import (
 )
 
 logger = logging.getLogger(__name__)
-
-THREADS_ENV = "LTP_FLEO_THREADS"
 
 
 class SimulationError(RuntimeError):
@@ -136,27 +133,6 @@ def config_digest(config: SimConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        logger.warning("ignoring non-integer %s=%r", THREADS_ENV, raw)
-        return 1
-
-
-def _train_batch(jobs, threads: int):
-    """Run training jobs (callables returning (sat, model)) with optional
-    thread fan-out; results are merged by satellite id so parallelism never
-    changes the outcome."""
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda fn: fn(), jobs))
-    else:
-        results = [fn() for fn in jobs]
-    return dict(sorted(results))
-
-
 @dataclass
 class SimulationResult:
     header: EventLogHeader
@@ -174,8 +150,28 @@ class SimulationResult:
         return [r.global_loss for r in self.records if not r.skipped]
 
 
+class _RoundPlan(NamedTuple):
+    """What a participant policy decided for one round."""
+
+    anchor: float
+    span_end: float
+    candidates: tuple[int, ...]
+    selected: list[int]
+    fresh: set[int]  # selected partitions that train now; the rest use cached models
+    weight_frequencies: Mapping[int, int]  # f_G for the weights; all zero: data size alone
+
+
 class SimulationEngine:
-    """Drives partitioned rounds over a prepared schedule and datasets."""
+    """Drives rounds over a prepared schedule and datasets.
+
+    One loop serves both participant policies: ``_plan_round`` decides who
+    trains in a round and how they are weighted, and everything after it
+    (training, caching, weighting, aggregation, the log record) is shared.
+    This class plans partitioned rounds; ``BaselineEngine`` plans the
+    no-partition baseline.
+    """
+
+    no_round_error = "no partition ever achieves common visibility within the schedule horizon"
 
     def __init__(
         self,
@@ -246,25 +242,15 @@ class SimulationEngine:
         )
 
     def _train_partition(self, members, global_model: ModelVector, round_index: int):
-        threads = worker_count()
         offset = (round_index - 1) * self.sgd.local_steps
-
-        def job(k):
-            def run():
-                rng = np.random.default_rng(np.random.SeedSequence((self.seed, 5, round_index, k)))
-                model = local_sgd(
-                    global_model,
-                    self.datasets[k],
-                    self.loss,
-                    self.sgd,
-                    rng=rng,
-                    step_offset=offset,
-                )
-                return k, ModelVector(model.values, owner=k, round_produced=round_index)
-
-            return run
-
-        return _train_batch([job(k) for k in members], threads)
+        trained = {}
+        for k in members:
+            rng = np.random.default_rng(np.random.SeedSequence((self.seed, 5, round_index, k)))
+            model = local_sgd(
+                global_model, self.datasets[k], self.loss, self.sgd, rng=rng, step_offset=offset
+            )
+            trained[k] = ModelVector(model.values, owner=k, round_produced=round_index)
+        return trained
 
     def _snapshot(self, model: ModelVector) -> tuple[float, float | None]:
         loss_value = global_loss(model, list(self.datasets.values()), self.loss)
@@ -273,14 +259,50 @@ class SimulationEngine:
             accuracy = global_accuracy(model, self.holdout, self.loss)
         return loss_value, accuracy
 
+    def _plan_round(self, now: float, t: int, freqs, rng_overhead) -> _RoundPlan | None:
+        """Partitioned policy; None once the schedule is exhausted.
+
+        Anchor the round on the earliest fully-visible partition whose common
+        window can hold the round overhead, retrying past windows that are
+        too short; keep the partitions whose common window covers the round,
+        and pass them through the staleness band.
+        """
+        attempt_now = now
+        while True:
+            cs = select_candidates(self.partitions, self.schedule, attempt_now)
+            if cs.empty:
+                return None
+            overhead = float(rng_overhead.uniform(*self.overhead_range_s))
+            lo, hi = cs.common_windows[cs.best_id]
+            anchor = max(attempt_now, lo)
+            if hi - anchor >= overhead:
+                break
+            attempt_now = hi + 1e-6
+
+        span_end = anchor + overhead
+        fitting = [
+            pid
+            for pid in cs.partition_ids
+            if cs.common_windows[pid][0] <= anchor and cs.common_windows[pid][1] >= span_end
+        ]
+        if self.alpha == FULL_FAIRNESS:
+            selected = staleness_filter(
+                fitting, freqs, t, FULL_FAIRNESS, all_partitions=self.partitions.ids
+            )
+            fresh = set(fitting)
+        else:
+            selected = staleness_filter(fitting, freqs, t, self.alpha)
+            fresh = set(selected)
+        return _RoundPlan(anchor, span_end, tuple(cs.partition_ids), selected, fresh, freqs)
+
     def run(self) -> SimulationResult:
         rng_overhead = np.random.default_rng(np.random.SeedSequence((self.seed, 3)))
         plog = ParticipationLog(self.partitions.ids)
         cache = ModelCache()
-        sentinel = self.alpha == FULL_FAIRNESS
         model = ModelVector(self.initial_model.copy(), owner="global", round_produced=0)
         records: list[RoundRecord] = []
         warned_cache_miss: set[int] = set()
+        warned_stall = False
         now = 0.0
         t = 1
         exhausted = False
@@ -291,62 +313,50 @@ class SimulationEngine:
             return now < self.time_budget_s
 
         while keep_going():
-            # Anchor the round on the earliest fully-visible partition whose
-            # common window can hold the round overhead; retry past windows
-            # that are too short.
-            attempt_now = now
-            anchor = None
-            while True:
-                cs = select_candidates(self.partitions, self.schedule, attempt_now)
-                if cs.empty:
-                    exhausted = True
-                    break
-                overhead = float(rng_overhead.uniform(*self.overhead_range_s))
-                lo, hi = cs.common_windows[cs.best_id]
-                candidate_anchor = max(attempt_now, lo)
-                if hi - candidate_anchor >= overhead:
-                    anchor = candidate_anchor
-                    break
-                attempt_now = hi + 1e-6
-            if exhausted:
-                break
-
-            span_end = anchor + overhead
-            fitting = [
-                pid
-                for pid in cs.partition_ids
-                if cs.common_windows[pid][0] <= anchor and cs.common_windows[pid][1] >= span_end
-            ]
             freqs = plog.frequencies(t)
-            if sentinel:
-                selected = staleness_filter(
-                    fitting, freqs, t, FULL_FAIRNESS, all_partitions=self.partitions.ids
-                )
-            else:
-                selected = staleness_filter(fitting, freqs, t, self.alpha)
+            plan = self._plan_round(now, t, freqs, rng_overhead)
+            if plan is None:
+                exhausted = True
+                break
+            selected = plan.selected
 
             if not selected:
+                # f_G grows by at most one per round and the band floor
+                # t - alpha by exactly one, so once every partition is below
+                # the floor none can ever return.
+                if (
+                    not warned_stall
+                    and self.alpha != FULL_FAIRNESS
+                    and t > self.alpha
+                    and all(f < t - self.alpha for f in freqs.values())
+                ):
+                    warned_stall = True
+                    warnings.warn(
+                        f"round {t}: every partition has fallen below the staleness band "
+                        f"[t - {self.alpha}, t - 1] of alpha = {self.alpha} and none can "
+                        "re-enter it; every later round is skipped",
+                        stacklevel=2,
+                    )
                 record_round(plog, set(), t)
                 records.append(
                     RoundRecord(
                         round_index=t,
-                        t_start_s=anchor,
-                        t_end_s=span_end,
+                        t_start_s=plan.anchor,
+                        t_end_s=plan.span_end,
                         skipped=True,
-                        candidates=tuple(cs.partition_ids),
+                        candidates=plan.candidates,
                         frequencies=freqs,
                     )
                 )
-                now = span_end
+                now = plan.span_end
                 t += 1
                 continue
 
-            fresh_set = set(fitting) if sentinel else set(selected)
             aggregating: dict[int, dict[int, ModelVector]] = {}
             cached_ages: dict[int, int] = {}
             excluded: list[int] = []
             for pid in selected:
-                if pid in fresh_set:
+                if pid in plan.fresh:
                     fresh = self._train_partition(self.members_map[pid], model, t)
                     cache.fetch_or_cache(pid, True, t, fresh)
                     aggregating[pid] = fresh
@@ -366,7 +376,9 @@ class SimulationEngine:
                     aggregating[pid] = models
                     cached_ages[pid] = age
 
-            weights = compute_weights(sorted(aggregating), freqs, self.partition_sizes, t)
+            weights = compute_weights(
+                sorted(aggregating), plan.weight_frequencies, self.partition_sizes, t
+            )
             new_model = aggregate(
                 weights,
                 aggregating,
@@ -398,10 +410,10 @@ class SimulationEngine:
             records.append(
                 RoundRecord(
                     round_index=t,
-                    t_start_s=anchor,
-                    t_end_s=span_end,
+                    t_start_s=plan.anchor,
+                    t_end_s=plan.span_end,
                     skipped=False,
-                    candidates=tuple(cs.partition_ids),
+                    candidates=plan.candidates,
                     selected=tuple(selected),
                     fresh=tuple(sorted(set(aggregating) - set(cached_ages))),
                     cached=cached_ages,
@@ -416,13 +428,11 @@ class SimulationEngine:
                 )
             )
             model = new_model
-            now = span_end
+            now = plan.span_end
             t += 1
 
         if exhausted and not records:
-            raise SimulationError(
-                "no partition ever achieves common visibility within the schedule horizon"
-            )
+            raise SimulationError(self.no_round_error)
         if exhausted:
             logger.warning(
                 "schedule exhausted after %d rounds (requested %s)", t - 1, self.rounds
@@ -440,156 +450,55 @@ class SimulationEngine:
         )
 
 
-class BaselineEngine:
+class BaselineEngine(SimulationEngine):
     """No-partition asynchronous baseline: every round aggregates whichever
-    satellites are visible at the anchor with plain data-size weights."""
+    satellites are visible at the anchor with plain data-size weights.
 
-    def __init__(
-        self,
-        *,
-        schedule: ContactSchedule,
-        datasets: list[Dataset],
-        loss: LossSpec,
-        sgd: SgdConfig,
-        seed: int,
-        rounds: int | None = None,
-        time_budget_s: float | None = None,
-        overhead_range_s: tuple[float, float] = (60.0, 180.0),
-        initial_model: np.ndarray | None = None,
-        holdout: Dataset | None = None,
-        config_hash: str = "",
-        config_payload: dict | None = None,
-        log_member_models: bool = True,
-    ):
-        if (rounds is None) == (time_budget_s is None):
-            raise ValueError("set exactly one of rounds / time_budget_s")
-        singles = build_partitions(schedule, 1)
-        self._inner = SimulationEngine(
+    Every satellite is a partition of its own under the satellite's id, so
+    the log's partition ids, beta keys and satellite ids agree. Takes the
+    engine's arguments except ``partitions``, ``alpha`` and
+    ``aggregation_mode``.
+    """
+
+    no_round_error = "no satellite is ever visible within the schedule horizon"
+
+    def __init__(self, *, schedule: ContactSchedule, **engine_args):
+        singletons = PartitionSet(
+            tuple(Partition(id=k, members=(k,)) for k in schedule.satellites), target_ltp=1
+        )
+        super().__init__(
             schedule=schedule,
-            partitions=singles,
-            datasets=datasets,
-            loss=loss,
-            sgd=sgd,
+            partitions=singletons,
             alpha=1,
-            seed=seed,
-            rounds=rounds,
-            time_budget_s=time_budget_s,
-            overhead_range_s=overhead_range_s,
-            initial_model=initial_model,
-            holdout=holdout,
-            config_hash=config_hash,
-            config_payload=config_payload,
-            log_member_models=log_member_models,
+            aggregation_mode="normalized",
+            **engine_args,
         )
-        self.schedule = schedule
-        self.datasets = self._inner.datasets
-        self.loss = loss
-        self.sgd = sgd
-        self.seed = seed
-        self.rounds = rounds
-        self.time_budget_s = time_budget_s
-        self.overhead_range_s = overhead_range_s
-        self.holdout = holdout
-        self.log_member_models = log_member_models
-        self.partitions = singles
 
-    def run(self) -> SimulationResult:
-        inner = self._inner
-        rng_overhead = np.random.default_rng(np.random.SeedSequence((self.seed, 3)))
-        plog = ParticipationLog(self.partitions.ids)
-        model = ModelVector(inner.initial_model.copy(), owner="global", round_produced=0)
-        records: list[RoundRecord] = []
-        now = 0.0
-        t = 1
-        exhausted = False
+    # Bound in this class's own namespace so that wrapping
+    # BaselineEngine.__dict__["run"] (as perfbench/tracing.py does) times
+    # baseline runs apart from partitioned ones.
+    run = SimulationEngine.run
 
-        def keep_going() -> bool:
-            if self.rounds is not None:
-                return t <= self.rounds
-            return now < self.time_budget_s
+    def _header(self) -> EventLogHeader:
+        return replace(super()._header(), aggregation_mode="baseline")
 
-        while keep_going():
-            contacts = [
-                (self.schedule.next_contact_time(k, now), k) for k in self.schedule.satellites
-            ]
-            upcoming = [(max(c, now), k) for c, k in contacts if c is not None]
-            if not upcoming:
-                exhausted = True
-                break
-            anchor = min(c for c, _ in upcoming)
-            participants = sorted(
-                k for k in self.schedule.satellites if self.schedule.visible_at(k, anchor)
-            )
-            overhead = float(rng_overhead.uniform(*self.overhead_range_s))
-            span_end = anchor + overhead
-
-            trained = inner._train_partition(participants, model, t)
-            total = sum(inner.member_sizes[k] for k in participants)
-            beta = {k: Fraction(inner.member_sizes[k], total) for k in participants}
-            weights = AggregationWeights(
-                round_index=t,
-                beta=beta,
-                gamma=dict(beta),
-                data_sizes={k: inner.member_sizes[k] for k in participants},
-                total_data=total,
-            )
-            new_model = aggregate(
-                weights,
-                {k: {k: m} for k, m in trained.items()},
-                inner.member_sizes,
-                {k: (k,) for k in participants},
-            )
-            record_round(plog, set(participants), t)
-            loss_value, accuracy = inner._snapshot(new_model)
-            records.append(
-                RoundRecord(
-                    round_index=t,
-                    t_start_s=anchor,
-                    t_end_s=span_end,
-                    skipped=False,
-                    candidates=tuple(participants),
-                    selected=tuple(participants),
-                    fresh=tuple(participants),
-                    frequencies=plog.frequencies(t),
-                    beta=beta,
-                    member_models=(
-                        {k: m.values.tolist() for k, m in sorted(trained.items())}
-                        if self.log_member_models
-                        else None
-                    ),
-                    global_after=new_model.values.tolist(),
-                    global_loss=loss_value,
-                    accuracy=accuracy,
-                )
-            )
-            model = new_model
-            now = span_end
-            t += 1
-
-        if exhausted and not records:
-            raise SimulationError("no satellite is ever visible within the schedule horizon")
-        header = EventLogHeader(
-            config_hash=inner.config_hash,
-            seed=self.seed,
-            ltp_level=1,
-            alpha=1,
-            aggregation_mode="baseline",
-            partitions=dict(inner.members_map),
-            data_sizes=dict(inner.member_sizes),
-            model_dim=inner.kernel_dim,
-            loss_kind=self.loss.kind,
-            config=inner.config_payload,
-        )
-        return SimulationResult(
-            header=header,
-            records=records,
-            final_model=model,
-            participation_log=plog,
-            partitions=self.partitions,
-            schedule=self.schedule,
-            train_datasets=list(self.datasets.values()),
-            holdout=self.holdout,
-            sim_time_s=now,
+    def _plan_round(self, now: float, t: int, freqs, rng_overhead) -> _RoundPlan | None:
+        """Anchor at the earliest contact of any satellite and train every
+        satellite visible there, weighted by data size alone."""
+        contacts = [self.schedule.next_contact_time(k, now) for k in self.schedule.satellites]
+        upcoming = [max(c, now) for c in contacts if c is not None]
+        if not upcoming:
+            return None
+        anchor = min(upcoming)
+        participants = [k for k in self.schedule.satellites if self.schedule.visible_at(k, anchor)]
+        span_end = anchor + float(rng_overhead.uniform(*self.overhead_range_s))
+        return _RoundPlan(
+            anchor,
+            span_end,
+            tuple(participants),
+            participants,
+            set(participants),
+            dict.fromkeys(participants, 0),
         )
 
 
@@ -636,34 +545,17 @@ def _prepare(config: SimConfig):
 
 def run(config: SimConfig, *, event_log_path=None, checkpoint_dir=None) -> SimulationResult:
     """Full partitioned run from a config; optionally persists artifacts."""
-    schedule, train, holdout, initial = _prepare(config)
-    partitions = build_partitions(schedule, config.ltp_level)
-    engine = SimulationEngine(
-        schedule=schedule,
-        partitions=partitions,
-        datasets=train,
-        loss=config.loss,
-        sgd=config.sgd,
-        alpha=config.alpha,
-        seed=config.seed,
-        rounds=config.rounds,
-        time_budget_s=config.time_budget_s,
-        overhead_range_s=config.overhead_range_s,
-        aggregation_mode=config.aggregation_mode,
-        initial_model=initial,
-        holdout=holdout,
-        config_hash=config_digest(config),
-        config_payload=_jsonable(config),
-    )
-    result = engine.run()
-    _persist(result, config, event_log_path, checkpoint_dir)
-    return result
+    return _run(config, event_log_path, checkpoint_dir, baseline=False)
 
 
 def run_baseline(config: SimConfig, *, event_log_path=None, checkpoint_dir=None) -> SimulationResult:
     """Asynchronous no-partition baseline on the same configuration."""
+    return _run(config, event_log_path, checkpoint_dir, baseline=True)
+
+
+def _run(config: SimConfig, event_log_path, checkpoint_dir, *, baseline: bool) -> SimulationResult:
     schedule, train, holdout, initial = _prepare(config)
-    engine = BaselineEngine(
+    common = dict(
         schedule=schedule,
         datasets=train,
         loss=config.loss,
@@ -677,6 +569,15 @@ def run_baseline(config: SimConfig, *, event_log_path=None, checkpoint_dir=None)
         config_hash=config_digest(config),
         config_payload=_jsonable(config),
     )
+    if baseline:
+        engine = BaselineEngine(**common)
+    else:
+        engine = SimulationEngine(
+            partitions=build_partitions(schedule, config.ltp_level),
+            alpha=config.alpha,
+            aggregation_mode=config.aggregation_mode,
+            **common,
+        )
     result = engine.run()
     _persist(result, config, event_log_path, checkpoint_dir)
     return result

@@ -33,6 +33,7 @@ from .simulator import (
     SimulationError,
     build_datasets,
     config_digest,
+    draw_initial_model,
     run,
     run_baseline,
 )
@@ -187,9 +188,7 @@ def _analyze_payload(log_path):
                 seed=config.seed,
             )
             w_star, f_star = solve_optimum(config.loss, train)
-            # reconstruct w^1 exactly as the run seeded it
-            rng_init = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))
-            w1 = config.init_scale * rng_init.normal(size=header.model_dim)
+            w1 = draw_initial_model(config, header.model_dim)
             gap0 = float(np.sum((w1 - w_star) ** 2))
             params = compute_bound_params(
                 constants, config.sgd.local_steps, gap0, f_star

@@ -11,6 +11,7 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -134,12 +135,21 @@ class ContactSchedule:
     def windows_for(self, satellite_id: int) -> tuple[VisibilityWindow, ...]:
         return self.windows.get(satellite_id, ())
 
+    @cached_property
+    def _bounds(self) -> dict[int, tuple[list[float], list[float]]]:
+        """Per satellite: its window starts and its window ends, both sorted."""
+        return {
+            sat: ([w.start_s for w in wins], [w.end_s for w in wins])
+            for sat, wins in self.windows.items()
+        }
+
     def next_window(self, satellite_id: int, now_s: float) -> VisibilityWindow | None:
         """First window still open at or after ``now_s`` (ongoing passes count)."""
-        for w in self.windows_for(satellite_id):
-            if w.end_s > now_s:
-                return w
-        return None
+        wins = self.windows_for(satellite_id)
+        if not wins:
+            return None
+        i = bisect_right(self._bounds[satellite_id][1], now_s)
+        return wins[i] if i < len(wins) else None
 
     def next_contact_time(self, satellite_id: int, now_s: float) -> float | None:
         """Predicted contact time: start of the satellite's next window."""
@@ -148,8 +158,9 @@ class ContactSchedule:
 
     def visible_at(self, satellite_id: int, t_s: float) -> bool:
         wins = self.windows_for(satellite_id)
-        starts = [w.start_s for w in wins]
-        i = bisect_right(starts, t_s) - 1
+        if not wins:
+            return False
+        i = bisect_right(self._bounds[satellite_id][0], t_s) - 1
         return i >= 0 and wins[i].end_s >= t_s
 
     def total_visible_s(self, satellite_id: int | None = None) -> float:
@@ -263,9 +274,9 @@ def compute_visibility(
 ) -> ContactSchedule:
     """Find, per satellite, the maximal intervals with elevation >= mask.
 
-    Samples the elevation on a uniform grid then bisection-refines each
-    endpoint to ``BISECTION_TOL_S``. Windows touching t=0 or the horizon are
-    clipped there.
+    Samples the elevation on a uniform grid, then refines every mask crossing
+    of a satellite together in one array bisection, to ``BISECTION_TOL_S``.
+    Windows touching t=0 or the horizon are clipped there.
     """
     if sample_step_s <= 0:
         raise ValueError("sample_step_s must be positive")
@@ -288,40 +299,47 @@ def compute_visibility(
 
     windows: dict[int, tuple[VisibilityWindow, ...]] = {}
     for el in elements:
-        elev = elevation_deg(propagate_ecef(el, grid), gs)
-        above = elev >= gs.min_elevation_deg
+        above = elevation_deg(propagate_ecef(el, grid), gs) >= gs.min_elevation_deg
+        step = np.diff(above.astype(np.int8))
+        rises = np.flatnonzero(step == 1)  # grid[i] below, grid[i + 1] above
+        falls = np.flatnonzero(step == -1)  # grid[j] above, grid[j + 1] below
 
-        def margin(t: float, el=el) -> float:
-            return float(elevation_deg(propagate_ecef(el, t), gs)) - gs.min_elevation_deg
+        def margin(t: np.ndarray, el=el) -> np.ndarray:
+            return elevation_deg(propagate_ecef(el, t), gs) - gs.min_elevation_deg
 
-        sat_windows = []
-        i = 0
-        n = len(grid)
-        while i < n:
-            if not above[i]:
-                i += 1
-                continue
-            j = i
-            while j + 1 < n and above[j + 1]:
-                j += 1
-            start = grid[i] if i == 0 else _refine_crossing(margin, grid[i - 1], grid[i])
-            end = grid[j] if j == n - 1 else _refine_crossing(margin, grid[j + 1], grid[j])
-            if end > start:
-                sat_windows.append(
-                    VisibilityWindow(satellite_id=el.satellite_id, start_s=start, end_s=end)
-                )
-            i = j + 1
-        windows[el.satellite_id] = tuple(sat_windows)
+        crossing = _refine_crossings(
+            margin,
+            np.concatenate([grid[rises], grid[falls + 1]]),
+            np.concatenate([grid[rises + 1], grid[falls]]),
+        )
+        starts = list(crossing[: len(rises)])
+        ends = list(crossing[len(rises):])
+        if above[0]:
+            starts.insert(0, grid[0])
+        if above[-1]:
+            ends.append(grid[-1])
+        windows[el.satellite_id] = tuple(
+            VisibilityWindow(satellite_id=el.satellite_id, start_s=start, end_s=end)
+            for start, end in zip(starts, ends)
+            if end > start
+        )
     return ContactSchedule(horizon_s=horizon_s, sample_step_s=sample_step_s, windows=windows)
 
 
-def _refine_crossing(margin, t_below: float, t_above: float) -> float:
-    """Bisect the mask crossing between a below-mask and an above-mask time."""
-    lo, hi = t_below, t_above
-    while abs(hi - lo) > BISECTION_TOL_S:
-        mid = 0.5 * (lo + hi)
-        if margin(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
+def _refine_crossings(margin, t_below: np.ndarray, t_above: np.ndarray) -> np.ndarray:
+    """Bisect each mask crossing between a below-mask and an above-mask time.
+
+    ``margin`` maps an array of times to elevation minus mask. Each bracket
+    halves until it is no longer than ``BISECTION_TOL_S`` and stops there,
+    so every crossing takes the same steps as it would bisected on its own.
+    """
+    lo = np.array(t_below, dtype=float)
+    hi = np.array(t_above, dtype=float)
+    active = np.flatnonzero(np.abs(hi - lo) > BISECTION_TOL_S)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        up = margin(mid) >= 0.0
+        hi[active[up]] = mid[up]
+        lo[active[~up]] = mid[~up]
+        active = active[np.abs(hi[active] - lo[active]) > BISECTION_TOL_S]
     return 0.5 * (lo + hi)

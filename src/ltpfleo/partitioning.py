@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .orbital import ContactSchedule
@@ -125,14 +126,6 @@ def common_windows(members, schedule: ContactSchedule) -> list[Interval]:
     return acc
 
 
-def next_common_window(members, schedule: ContactSchedule, now_s: float) -> Interval | None:
-    """First common window still open at or after ``now_s``."""
-    for lo, hi in common_windows(members, schedule):
-        if hi > now_s:
-            return (lo, hi)
-    return None
-
-
 def pairwise_overlap_s(schedule: ContactSchedule, sat_a: int, sat_b: int) -> float:
     """Total simultaneous-visibility duration of two satellites."""
     both = intersect_intervals(_sat_intervals(schedule, sat_a), _sat_intervals(schedule, sat_b))
@@ -187,27 +180,47 @@ def count_selectable_sets(partition_set: PartitionSet) -> int:
     return 2 ** len(partition_set.partitions) - 1
 
 
+def common_window_index(
+    partition_set: PartitionSet, schedule: ContactSchedule
+) -> dict[int, tuple[list[Interval], list[float]]]:
+    """Per partition id: its common windows and their ends, both sorted.
+
+    The schedule is fixed before training, so this is built once per run and
+    ``select_candidates`` answers each round with a bisection on the ends.
+    """
+    index = {}
+    for part in partition_set.partitions:
+        windows = common_windows(part.members, schedule)
+        index[part.id] = (windows, [hi for _, hi in windows])
+    return index
+
+
 def select_candidates(
-    partition_set: PartitionSet, schedule: ContactSchedule, now_s: float
+    partition_set: PartitionSet,
+    schedule: ContactSchedule,
+    now_s: float,
+    index: dict[int, tuple[list[Interval], list[float]]],
 ) -> CandidateSet:
     """Pick the partition whose last member becomes visible earliest, plus overlaps.
 
+    ``index`` is ``common_window_index(partition_set, schedule)``. A
+    partition is eligible when one of its common windows is still open at
+    or after ``now_s``; the first such window is its next common window.
     The best partition minimises max over members of the predicted contact
     time (ties broken by lowest partition id); every other partition whose
     next common window overlaps the best one's is added as a candidate.
-    Partitions with no future common visibility are not eligible.
     """
     eligible: dict[int, Interval] = {}
     worst_contact: dict[int, float] = {}
     for part in partition_set.partitions:
-        cw = next_common_window(part.members, schedule, now_s)
-        if cw is None:
+        windows, ends = index[part.id]
+        i = bisect_right(ends, now_s)
+        if i == len(windows):
             continue
-        contacts = [schedule.next_contact_time(sat, now_s) for sat in part.members]
-        if any(c is None for c in contacts):
-            continue
-        eligible[part.id] = cw
-        worst_contact[part.id] = max(contacts)
+        # Every member's window containing this common window is still open,
+        # so each member has a next contact.
+        eligible[part.id] = windows[i]
+        worst_contact[part.id] = max(schedule.next_contact_time(sat, now_s) for sat in part.members)
 
     if not eligible:
         return CandidateSet(now_s=now_s, best_id=None, partition_ids=(), common_windows={})

@@ -33,7 +33,13 @@ from .aggregation import (
 )
 from .eventlog import EventLogHeader, RoundRecord, save_checkpoint, write_event_log
 from .orbital import ConstellationSpec, ContactSchedule, GroundStation, compute_visibility
-from .partitioning import Partition, PartitionSet, build_partitions, select_candidates
+from .partitioning import (
+    Partition,
+    PartitionSet,
+    build_partitions,
+    common_window_index,
+    select_candidates,
+)
 from .scheduling import FULL_FAIRNESS, ParticipationLog, record_round, staleness_filter
 from .training import (
     Dataset,
@@ -226,6 +232,7 @@ class SimulationEngine:
             p.id: sum(self.member_sizes[k] for k in p.members) for p in partitions.partitions
         }
         self.members_map = {p.id: p.members for p in partitions.partitions}
+        self.window_index = common_window_index(partitions, schedule)
 
     def _header(self) -> EventLogHeader:
         return EventLogHeader(
@@ -269,7 +276,7 @@ class SimulationEngine:
         """
         attempt_now = now
         while True:
-            cs = select_candidates(self.partitions, self.schedule, attempt_now)
+            cs = select_candidates(self.partitions, self.schedule, attempt_now, self.window_index)
             if cs.empty:
                 return None
             overhead = float(rng_overhead.uniform(*self.overhead_range_s))
@@ -537,10 +544,14 @@ def _prepare(config: SimConfig):
     )
     datasets = build_datasets(config)
     train, holdout = split_holdout(datasets, config.eval_fraction, config.seed)
-    rng_init = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))
-    dim = make_loss_model(config.loss, train[0].feature_dim).dim
-    initial = config.init_scale * rng_init.normal(size=dim)
+    initial = draw_initial_model(config, make_loss_model(config.loss, train[0].feature_dim).dim)
     return schedule, train, holdout, initial
+
+
+def draw_initial_model(config: SimConfig, dim: int) -> np.ndarray:
+    """The run's initial global model w^1, drawn from its (seed, 2) generator."""
+    rng_init = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))
+    return config.init_scale * rng_init.normal(size=dim)
 
 
 def run(config: SimConfig, *, event_log_path=None, checkpoint_dir=None) -> SimulationResult:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ltpfleo.orbital import (
+    BISECTION_TOL_S,
     R_EARTH_KM,
     ConstellationSpec,
     GroundStation,
     VisibilityWindow,
+    _refine_crossings,
     build_walker_delta,
     compute_visibility,
     elevation_deg,
@@ -23,6 +27,49 @@ PAPER_GS = GroundStation(latitude_deg=45.0, longitude_deg=-100.0, min_elevation_
 
 # Kepler oracle, computed independently: 2*pi*sqrt(7151^3 / 398600.4418)
 PERIOD_780KM_S = 6018.124217148019
+
+
+def scalar_bisection(margin, t_below, t_above):
+    """Reference: bisect one crossing with scalar margin evaluations."""
+    lo, hi = t_below, t_above
+    while abs(hi - lo) > BISECTION_TOL_S:
+        mid = 0.5 * (lo + hi)
+        if margin(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def scalar_visibility(spec, gs, horizon_s, sample_step_s):
+    """Reference: per-satellite windows from a scan of the sampled mask and
+    one scalar bisection per crossing."""
+    grid = np.arange(0.0, horizon_s, sample_step_s)
+    if grid[-1] < horizon_s:
+        grid = np.append(grid, horizon_s)
+    n = len(grid)
+    out = {}
+    for el in build_walker_delta(spec):
+        above = elevation_deg(propagate_ecef(el, grid), gs) >= gs.min_elevation_deg
+
+        def margin(t, el=el):
+            return float(elevation_deg(propagate_ecef(el, t), gs)) - gs.min_elevation_deg
+
+        wins, i = [], 0
+        while i < n:
+            if not above[i]:
+                i += 1
+                continue
+            j = i
+            while j + 1 < n and above[j + 1]:
+                j += 1
+            start = grid[i] if i == 0 else scalar_bisection(margin, grid[i - 1], grid[i])
+            end = grid[j] if j == n - 1 else scalar_bisection(margin, grid[j + 1], grid[j])
+            if end > start:
+                wins.append(VisibilityWindow(el.satellite_id, start, end))
+            i = j + 1
+        out[el.satellite_id] = tuple(wins)
+    return out
 
 
 class TestConstellationSpec:
@@ -202,7 +249,95 @@ class TestComputeVisibility:
         assert len(lines) == 1 + n_windows
 
 
+class TestCrossingRefinement:
+    @staticmethod
+    def margin(t):
+        # Arithmetic only, so array and scalar evaluation agree bit for bit:
+        # above the mask on [120, 410) of every 700 s.
+        phase = np.mod(t, 700.0)
+        return (phase - 120.0) * (410.0 - phase)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        brackets=st.lists(
+            st.tuples(
+                st.one_of(st.floats(0.0, 5000.0), st.integers(0, 5000).map(float)),
+                st.one_of(
+                    st.floats(-40.0, 40.0),
+                    st.sampled_from([0.0, BISECTION_TOL_S, -BISECTION_TOL_S, 0.15, 3.0, 40.0]),
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    # The first midpoint, 120, lies exactly on the mask: it counts as above.
+    @example([(100.0, 40.0), (430.0, -40.0)])
+    def test_array_bisection_matches_scalar_reference(self, brackets):
+        below = [t for t, _ in brackets]
+        above = [t + width for t, width in brackets]
+        refined = _refine_crossings(self.margin, np.array(below), np.array(above))
+        expected = [
+            scalar_bisection(lambda t: self.margin(np.array([t]))[0], lo, hi)
+            for lo, hi in zip(below, above)
+        ]
+        assert refined.tolist() == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sats=st.integers(1, 3),
+        inclination=st.floats(0.0, 180.0),
+        latitude=st.floats(-60.0, 60.0),
+        longitude=st.floats(-30.0, 30.0),
+        mask=st.sampled_from([-90.0, 0.0, 15.0, 40.0, 90.0]),
+        horizon=st.floats(50.0, 15000.0),
+        step=st.floats(5.0, 60.0),
+    )
+    # Station under satellite 0 at epoch: its pass is [0, ~270.03] s.
+    @example(1, 60.0, 0.0, 0.0, 15.0, 7000.0, 30.0)
+    # Its set crossing falls in the last bracket, [270, 274], 4 s long.
+    @example(1, 60.0, 0.0, 0.0, 15.0, 274.0, 10.0)
+    # The pass runs past the horizon: one window touching t = 0 and the horizon.
+    @example(1, 60.0, 0.0, 0.0, 15.0, 250.0, 10.0)
+    # Always and never visible.
+    @example(2, 80.0, 45.0, -100.0, -90.0, 1234.5, 10.0)
+    @example(2, 80.0, 45.0, -100.0, 90.0, 1234.5, 10.0)
+    def test_visibility_matches_scalar_reference(
+        self, sats, inclination, latitude, longitude, mask, horizon, step
+    ):
+        spec = ConstellationSpec(
+            num_orbits=1, sats_per_orbit=sats, altitude_km=780.0, inclination_deg=inclination
+        )
+        gs = GroundStation(latitude, longitude, mask)
+        sched = compute_visibility(spec, gs, horizon_s=horizon, sample_step_s=step)
+        assert sched.windows == scalar_visibility(spec, gs, horizon, step)
+
+
+@st.composite
+def window_tuples(draw):
+    """Sorted disjoint windows on a coarse grid, so that windows touch and
+    queries land exactly on their starts and ends."""
+    wins, t = [], 0
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=6)):
+        wins.append(VisibilityWindow(0, 10.0 * (t + gap), 10.0 * (t + gap + length)))
+        t += gap + length
+    return tuple(wins)
+
+
 class TestScheduleQueries:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        wins=window_tuples(),
+        queries=st.lists(st.integers(0, 120).map(lambda n: 2.5 * n), min_size=1, max_size=10),
+    )
+    def test_bisection_matches_linear_scan(self, wins, queries):
+        sched = ContactScheduleFactory(wins)
+        for now in queries:
+            assert sched.next_window(0, now) == next((w for w in wins if w.end_s > now), None)
+            assert sched.visible_at(0, now) == any(w.start_s <= now <= w.end_s for w in wins)
+        assert sched.next_window(1, 0.0) is None
+        assert not sched.visible_at(1, 0.0)
+
+
     def test_next_window_skips_closed(self):
         wins = (
             VisibilityWindow(0, 100.0, 200.0),

@@ -1,17 +1,78 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_schedule, random_schedule
 from ltpfleo.partitioning import (
     Partition,
     PartitionSet,
     build_partitions,
+    common_window_index,
     common_windows,
     count_selectable_sets,
     intersect_intervals,
-    next_common_window,
     select_candidates,
 )
+
+
+def select(ps, sched, now):
+    return select_candidates(ps, sched, now, common_window_index(ps, sched))
+
+
+def reference_next_common_window(members, sched, now):
+    """From scratch: intersect the members' windows pair by pair, then take
+    the first common window still open after ``now``."""
+    acc = [(w.start_s, w.end_s) for w in sched.windows_for(members[0])]
+    for sat in members[1:]:
+        acc = [
+            (max(lo, w.start_s), min(hi, w.end_s))
+            for lo, hi in acc
+            for w in sched.windows_for(sat)
+            if min(hi, w.end_s) > max(lo, w.start_s)
+        ]
+    return next(((lo, hi) for lo, hi in sorted(acc) if hi > now), None)
+
+
+def reference_select(ps, sched, now):
+    """(best id, {candidate id: next common window}) by linear scans."""
+    eligible = {}
+    for p in ps.partitions:
+        window = reference_next_common_window(p.members, sched, now)
+        if window is not None:
+            contacts = [
+                next(w.start_s for w in sched.windows_for(s) if w.end_s > now) for s in p.members
+            ]
+            eligible[p.id] = (max(contacts), window)
+    if not eligible:
+        return None, {}
+    best = min(eligible, key=lambda pid: (eligible[pid][0], pid))
+    lo, hi = eligible[best][1]
+    return best, {
+        pid: window
+        for pid, (_, window) in sorted(eligible.items())
+        if min(hi, window[1]) > max(lo, window[0])
+    }
+
+
+@st.composite
+def interval_schedules(draw):
+    """A random partitioned schedule on a coarse grid, so that windows touch,
+    share ends and start at t = 0 often."""
+    ltp = draw(st.sampled_from([1, 2, 3]))
+    k = ltp * draw(st.integers(1, 3))
+    windows = {}
+    for sat in range(k):
+        spans, t = [], 0
+        for gap, length in draw(
+            st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), max_size=5)
+        ):
+            spans.append((10.0 * (t + gap), 10.0 * (t + gap + length)))
+            t += gap + length
+        windows[sat] = spans
+    order = draw(st.permutations(range(k)))
+    parts = tuple(Partition(i, tuple(order[i * ltp : (i + 1) * ltp])) for i in range(k // ltp))
+    return make_schedule(windows), PartitionSet(parts, target_ltp=ltp)
 
 
 class TestIntervalOps:
@@ -26,9 +87,15 @@ class TestIntervalOps:
 
     def test_next_common_window_skips_past(self):
         sched = make_schedule({0: [(0, 100), (300, 400)], 1: [(0, 100), (300, 400)]})
-        assert next_common_window([0, 1], sched, 150.0) == (300.0, 400.0)
-        assert next_common_window([0, 1], sched, 50.0) == (0.0, 100.0)
-        assert next_common_window([0, 1], sched, 500.0) is None
+        ps = build_partitions(sched, 2)
+        (pid,) = ps.ids
+        # now = 100 is the first window's end: that window is closed
+        expected_at = {150.0: (300.0, 400.0), 50.0: (0.0, 100.0), 100.0: (300.0, 400.0)}
+        for now, expected in expected_at.items():
+            assert reference_next_common_window([0, 1], sched, now) == expected
+            assert select(ps, sched, now).common_windows == {pid: expected}
+        assert reference_next_common_window([0, 1], sched, 500.0) is None
+        assert select(ps, sched, 500.0).empty
 
 
 class TestBuildPartitions:
@@ -117,7 +184,7 @@ class TestSelectCandidates:
     def test_argmin_without_overlap(self):
         # Partition contact maxima 300 / 200 / 500, pairwise disjoint windows.
         ps, sched = self._three_partition_setup({0: (300, 390), 1: (200, 290), 2: (500, 590)})
-        cs = select_candidates(ps, sched, 0.0)
+        cs = select(ps, sched, 0.0)
         assert sched.next_contact_time(ps.members_of(cs.best_id)[0], 0.0) == 200.0
         assert len(cs.partition_ids) == 1
 
@@ -126,7 +193,7 @@ class TestSelectCandidates:
             {0: [(200, 400)], 1: [(200, 400)], 2: [(250, 350)], 3: [(250, 350)]}
         )
         ps = build_partitions(sched, 2)
-        cs = select_candidates(ps, sched, 0.0)
+        cs = select(ps, sched, 0.0)
         assert len(cs.partition_ids) == 2
         best_members = ps.members_of(cs.best_id)
         assert sched.next_contact_time(best_members[0], 0.0) == 200.0
@@ -135,19 +202,19 @@ class TestSelectCandidates:
         sched = make_schedule({0: [(0, 100)], 1: [(200, 300)]})
         with pytest.warns(UserWarning):
             ps = build_partitions(sched, 2)
-        cs = select_candidates(ps, sched, 0.0)
+        cs = select(ps, sched, 0.0)
         assert cs.empty
         assert cs.partition_ids == ()
 
     def test_no_future_windows_gives_empty(self):
         sched = make_schedule({0: [(0, 100)], 1: [(0, 100)]})
         ps = build_partitions(sched, 2)
-        assert select_candidates(ps, sched, 500.0).empty
+        assert select(ps, sched, 500.0).empty
 
     def test_tie_break_by_partition_id(self):
         sched = make_schedule({k: [(100, 400)] for k in range(4)})
         ps = build_partitions(sched, 2)
-        cs = select_candidates(ps, sched, 0.0)
+        cs = select(ps, sched, 0.0)
         assert cs.best_id == min(p.id for p in ps.partitions)
 
     def test_exhaustive_scan_oracle_random_schedules(self):
@@ -167,7 +234,7 @@ class TestSelectCandidates:
                 warnings.simplefilter("ignore")
                 ps = build_partitions(sched, ltp)
             now = float(rng.uniform(0.0, 10000.0))
-            cs = select_candidates(ps, sched, now)
+            cs = select(ps, sched, now)
             if cs.empty:
                 continue
 
@@ -175,7 +242,7 @@ class TestSelectCandidates:
                 contacts = [sched.next_contact_time(s, now) for s in ps.members_of(pid)]
                 if any(c is None for c in contacts):
                     return None
-                if next_common_window(ps.members_of(pid), sched, now) is None:
+                if reference_next_common_window(ps.members_of(pid), sched, now) is None:
                     return None
                 return max(contacts)
 
@@ -187,3 +254,18 @@ class TestSelectCandidates:
                     assert not (w < best)
             checked += 1
         assert checked > 400
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=interval_schedules(),
+        queries=st.lists(st.integers(0, 240).map(lambda n: 5.0 * n), min_size=1, max_size=8),
+    )
+    def test_indexed_selection_matches_reference(self, case, queries):
+        sched, ps = case
+        index = common_window_index(ps, sched)
+        for now in queries:
+            cs = select_candidates(ps, sched, now, index)
+            best, windows = reference_select(ps, sched, now)
+            assert cs.best_id == best
+            assert cs.partition_ids == tuple(windows)
+            assert cs.common_windows == windows

@@ -304,11 +304,14 @@ class TestBaseline:
         assert replay_global_updates(result.header, result.records) < 1e-12
 
     def test_baseline_reaches_target_in_no_more_rounds_paired_seeds(self):
-        # Waiting cost of privacy: a decoy pair with exclusive passes and
-        # zero history captures anchors that the staleness band then skips,
-        # so the partitioned run burns round indices the baseline spends on
-        # real aggregations. 10 paired seeds, full-batch (deterministic)
-        # local gradients on homogeneous data.
+        # Pins "no more rounds": a decoy pair with exclusive passes and zero
+        # history captures anchors that the staleness band then skips, yet
+        # the baseline still needs no more rounds than the partitioned run to
+        # halve the loss gap. This is not a measured waiting cost: on all ten
+        # seeds both runs reach the target at round 3, a tie. alpha = 20 keeps
+        # the partitioned run training (alpha = 3 stalls it for good by round
+        # 9-15 of 40) while 2-5 of its rounds are still skipped. 10 paired
+        # seeds, full-batch (deterministic) local gradients on homogeneous data.
         period = 2000.0
         main = [(n * period, n * period + 600.0) for n in range(40)]
         decoy = [(n * period + 1000.0, n * period + 1300.0) for n in range(40)]
@@ -322,13 +325,16 @@ class TestBaseline:
             sgd = SgdConfig(local_steps=2, learning_rate=0.1, mini_batch=10**9)
             common = dict(loss=loss, sgd=sgd, seed=seed, rounds=40)
             base = BaselineEngine(schedule=sched, datasets=datasets, **common).run()
-            part = SimulationEngine(
-                schedule=sched,
-                partitions=build_partitions(sched, 2),
-                datasets=datasets,
-                alpha=3,
-                **common,
-            ).run()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                part = SimulationEngine(
+                    schedule=sched,
+                    partitions=build_partitions(sched, 2),
+                    datasets=datasets,
+                    alpha=20,
+                    **common,
+                ).run()
+            assert stall_warnings(caught) == []
             assert any(rec.skipped for rec in part.records)
             assert not any(rec.skipped for rec in base.records)
 

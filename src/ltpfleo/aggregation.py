@@ -2,7 +2,9 @@
 
 Weights are kept as exact rationals end to end: the auditor later replays
 the very coefficients the server used, and the fairness weights must be
-invariant under common rescaling of the data sizes.
+invariant under common rescaling of the data sizes. A model is a flat,
+read-only float64 array, so the cache stores and hands out the arrays
+themselves.
 """
 from __future__ import annotations
 
@@ -18,29 +20,6 @@ logger = logging.getLogger(__name__)
 
 class CacheMissError(KeyError):
     """A non-visible partition has no cached models yet."""
-
-
-@dataclass
-class ModelVector:
-    """Flat parameter vector with provenance."""
-
-    values: np.ndarray
-    owner: int | str = "global"
-    round_produced: int = 0
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("model values must be a flat vector")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("model values must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def copy(self) -> "ModelVector":
-        return ModelVector(self.values.copy(), owner=self.owner, round_produced=self.round_produced)
 
 
 @dataclass(frozen=True)
@@ -119,17 +98,18 @@ def member_weights(member_ids: Sequence[int], member_sizes: Mapping[int, int]) -
 
 def aggregate(
     weights: AggregationWeights,
-    partition_models: Mapping[int, Mapping[int, ModelVector]],
+    partition_models: Mapping[int, Mapping[int, np.ndarray]],
     member_sizes: Mapping[int, int],
     partition_members: Mapping[int, Sequence[int]],
     mode: str = "normalized",
-) -> ModelVector:
+) -> np.ndarray:
     """Combine partition member models into the next global model.
 
     ``normalized`` (default) weights each member by its within-partition data
     share so the result is a convex combination; ``literal`` applies the raw
     unnormalized inner sum for ablation. Partitions must arrive complete:
-    a missing member would break the all-or-none privacy contract.
+    a missing member would break the all-or-none privacy contract. The
+    result is read-only; a non-finite result raises ``ValueError``.
     """
     if mode not in ("normalized", "literal"):
         raise ValueError(f"unknown aggregation mode {mode!r}")
@@ -148,7 +128,7 @@ def aggregate(
             mw = member_weights(expected, member_sizes)
         inner: np.ndarray | None = None
         for k in expected:
-            vec = got[k].values
+            vec = got[k]
             if dim is None:
                 dim = vec.shape[0]
                 accum = np.zeros(dim)
@@ -159,38 +139,41 @@ def aggregate(
             scale = float(mw[k]) if mode == "normalized" else 1.0
             inner = scale * vec if inner is None else inner + scale * vec
         accum += weights.beta_float(pid) * inner
-    return ModelVector(accum, owner="global", round_produced=weights.round_index)
+    if not np.all(np.isfinite(accum)):
+        raise ValueError(f"round {weights.round_index}: aggregated model is not finite")
+    accum.flags.writeable = False
+    return accum
 
 
 class ModelCache:
     """Last aggregated member models per partition, stamped with their round."""
 
     def __init__(self) -> None:
-        self._store: dict[int, tuple[dict[int, ModelVector], int]] = {}
+        self._store: dict[int, tuple[Mapping[int, np.ndarray], int]] = {}
 
     def __contains__(self, partition_id: int) -> bool:
         return partition_id in self._store
-
-    def stamp(self, partition_id: int) -> int:
-        return self._store[partition_id][1]
 
     def fetch_or_cache(
         self,
         partition_id: int,
         visible: bool,
         round_index: int,
-        fresh_models: Mapping[int, ModelVector] | None = None,
-    ) -> tuple[dict[int, ModelVector], int]:
-        """Fresh models (age 0, cache refreshed) or cached ones with their age."""
+        fresh_models: Mapping[int, np.ndarray] | None = None,
+    ) -> tuple[Mapping[int, np.ndarray], int]:
+        """Fresh models (age 0, cache refreshed) or cached ones with their age.
+
+        The models are stored and returned as given, not copied: models are
+        read-only arrays.
+        """
         if visible:
             if fresh_models is None:
                 raise ValueError("visible partition requires fresh models")
-            stored = {k: m.copy() for k, m in fresh_models.items()}
-            self._store[partition_id] = (stored, round_index)
-            return dict(fresh_models), 0
+            self._store[partition_id] = (dict(fresh_models), round_index)
+            return fresh_models, 0
         if partition_id not in self._store:
             raise CacheMissError(
                 f"partition {partition_id} has never participated; no cached models"
             )
         models, stamp = self._store[partition_id]
-        return {k: m.copy() for k, m in models.items()}, round_index - stamp
+        return models, round_index - stamp

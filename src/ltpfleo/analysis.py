@@ -408,7 +408,7 @@ def fairness_gap(
     log: ParticipationLog,
     total_rounds: int | None = None,
     *,
-    model=None,
+    model: np.ndarray | None = None,
     loss: LossSpec | None = None,
     eval_dataset: Dataset | None = None,
 ) -> FairnessReport:
@@ -425,7 +425,7 @@ def fairness_gap(
     conf = None
     if model is not None and loss is not None and eval_dataset is not None:
         kernel = make_loss_model(loss, eval_dataset.feature_dim)
-        pred = kernel.predict(model.values, eval_dataset.features)
+        pred = kernel.predict(model, eval_dataset.features)
         conf = confusion_matrix(pred, eval_dataset.labels, loss.num_classes)
         per_class = {}
         for c in range(loss.num_classes):

@@ -23,7 +23,6 @@ from .analysis import (
     solve_optimum,
     theorem_bound,
 )
-from .aggregation import ModelVector
 from .config import config_from_header_payload, load_config
 from .eventlog import SchemaMismatchError, read_event_log
 from .orbital import compute_visibility
@@ -108,28 +107,29 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _audit_reports(log_path, window, ltp_level, colluders):
+def _leakage_payload(log_path, window, ltp_level, colluders):
+    """The leakage report of ``audit --out`` and ``report``, with its window reports."""
     header, records = read_event_log(log_path)
     reports = ltp_verdict_over_run(
         header,
         records,
         ltp_level=ltp_level,
         window_rounds=window,
-        colluders=colluders or (),
+        colluders=colluders,
     )
-    return header, reports
-
-
-def cmd_audit(args) -> int:
-    colluders = [int(c) for c in args.colluders.split(",") if c] if args.colluders else []
-    header, reports = _audit_reports(args.log, args.window, args.ltp_level, colluders)
     payload = {
-        "ltp_level": args.ltp_level if args.ltp_level is not None else header.ltp_level,
-        "window_rounds": args.window,
+        "ltp_level": ltp_level if ltp_level is not None else header.ltp_level,
+        "window_rounds": window,
         "colluders": colluders,
         "windows": [r.to_jsonable() for r in reports],
         "all_pass": all(r.passed for r in reports),
     }
+    return payload, reports
+
+
+def cmd_audit(args) -> int:
+    colluders = [int(c) for c in args.colluders.split(",") if c] if args.colluders else []
+    payload, reports = _leakage_payload(args.log, args.window, args.ltp_level, colluders)
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -216,7 +216,7 @@ def _analyze_payload(log_path):
             datasets = build_datasets(config)
             _, holdout = split_holdout(datasets, config.eval_fraction, config.seed)
             if holdout is not None:
-                final = ModelVector(np.asarray(effective[-1].global_after))
+                final = np.asarray(effective[-1].global_after, dtype=np.float64)
                 rep = fairness_gap(
                     plog, model=final, loss=config.loss, eval_dataset=holdout
                 )
@@ -234,10 +234,9 @@ def _write_csv(path: Path, headers, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_analyze(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload, curve, bound_rows, confusion = _analyze_payload(args.log)
+def _write_analysis(log_path, out_dir: Path) -> dict:
+    """Write the analysis files of ``analyze`` and ``report``; returns analysis.json's payload."""
+    payload, curve, bound_rows, confusion = _analyze_payload(log_path)
     _dump_json(out_dir / "analysis.json", payload)
     _write_csv(out_dir / "gap_vs_round.csv", ["round", "global_loss", "accuracy"], curve)
     if bound_rows:
@@ -248,6 +247,13 @@ def cmd_analyze(args) -> int:
             [f"pred_{i}" for i in range(len(confusion))],
             confusion,
         )
+    return payload
+
+
+def cmd_analyze(args) -> int:
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    payload = _write_analysis(args.log, out_dir)
     print(f"fairness gap {payload['fairness']['gap']:.6f} over {payload['rounds']} rounds")
     print(f"analysis written to {out_dir}")
     return EXIT_OK
@@ -267,31 +273,13 @@ def cmd_report(args) -> int:
     if partitions_csv and Path(partitions_csv).exists():
         shutil.copyfile(partitions_csv, out_dir / "partitions.csv")
 
-    header, reports = _audit_reports(log_path, args.window, None, [])
-    _dump_json(
-        out_dir / "leakage.json",
-        {
-            "ltp_level": header.ltp_level,
-            "window_rounds": args.window,
-            "windows": [r.to_jsonable() for r in reports],
-            "all_pass": all(r.passed for r in reports),
-        },
-    )
-    payload, curve, bound_rows, confusion = _analyze_payload(log_path)
-    _dump_json(out_dir / "analysis.json", payload)
-    _write_csv(out_dir / "gap_vs_round.csv", ["round", "global_loss", "accuracy"], curve)
-    if bound_rows:
-        _write_csv(out_dir / "bound_vs_round.csv", ["round", "empirical_gap", "bound"], bound_rows)
-    if confusion:
-        _write_csv(
-            out_dir / "confusion_matrix.csv",
-            [f"pred_{i}" for i in range(len(confusion))],
-            confusion,
-        )
+    leakage, _ = _leakage_payload(log_path, args.window, None, [])
+    _dump_json(out_dir / "leakage.json", leakage)
+    payload = _write_analysis(log_path, out_dir)
     summary = {
         "tool_version": __version__,
         "config_hash": manifest["config_hash"],
-        "ltp_all_pass": all(r.passed for r in reports),
+        "ltp_all_pass": leakage["all_pass"],
         "fairness_gap": payload["fairness"]["gap"],
         "rounds": payload["rounds"],
     }

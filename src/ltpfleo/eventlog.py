@@ -155,37 +155,12 @@ class RoundRecord:
         )
 
 
-class EventLogWriter:
-    def __init__(self, path):
-        self._fh = open(path, "w")
-        self._wrote_header = False
-
-    def write_header(self, header: EventLogHeader) -> None:
-        if self._wrote_header:
-            raise ValueError("header already written")
-        self._fh.write(header.to_json() + "\n")
-        self._wrote_header = True
-
-    def write_round(self, record: RoundRecord) -> None:
-        if not self._wrote_header:
-            raise ValueError("write the header first")
-        self._fh.write(record.to_json() + "\n")
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
 def write_event_log(path, header: EventLogHeader, records) -> None:
-    with EventLogWriter(path) as writer:
-        writer.write_header(header)
+    """Write the header line, then one line per round record."""
+    with open(path, "w") as fh:
+        fh.write(header.to_json() + "\n")
         for rec in records:
-            writer.write_round(rec)
+            fh.write(rec.to_json() + "\n")
 
 
 def read_event_log(path) -> tuple[EventLogHeader, list[RoundRecord]]:

@@ -63,11 +63,6 @@ class ParticipationLog:
         return {pid: self._counts[pid] / t for pid in self._ids}
 
 
-def participation_frequency(log: ParticipationLog, partition_id: int, round_index: int) -> int:
-    """f_G at round t: participations counted over rounds 1..t-1."""
-    return log.frequency(partition_id, round_index)
-
-
 def staleness_filter(
     candidates: Sequence[int],
     frequencies: dict[int, int],

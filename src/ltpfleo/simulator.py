@@ -5,8 +5,9 @@ earliest fully-visible partition, extends to window-overlapping peers,
 filters them through the staleness band, trains the visible members, and
 aggregates with the fair weights. The no-partition baseline runs the same
 loop with another participant policy: every satellite visible at the
-earliest contact trains, weighted by data size. Every decision lands in the
-event log that the privacy auditor and the analysis tooling consume.
+earliest contact trains, weighted by data size. Every decision, with every
+aggregated member model, lands in the event log that the privacy auditor and
+the analysis tooling consume. Models are flat, read-only float64 arrays.
 
 All randomness flows from the single root seed; subsystem generators are
 derived with fixed tags: (seed, 1) data synthesis, (seed, 2) model init,
@@ -27,7 +28,6 @@ import numpy as np
 from .aggregation import (
     CacheMissError,
     ModelCache,
-    ModelVector,
     aggregate,
     compute_weights,
 )
@@ -143,7 +143,7 @@ def config_digest(config: SimConfig) -> str:
 class SimulationResult:
     header: EventLogHeader
     records: list[RoundRecord]
-    final_model: ModelVector
+    final_model: np.ndarray
     participation_log: ParticipationLog
     partitions: PartitionSet
     schedule: ContactSchedule
@@ -197,7 +197,6 @@ class SimulationEngine:
         holdout: Dataset | None = None,
         config_hash: str = "",
         config_payload: dict | None = None,
-        log_member_models: bool = True,
     ):
         if (rounds is None) == (time_budget_s is None):
             raise ValueError("set exactly one of rounds / time_budget_s")
@@ -217,15 +216,20 @@ class SimulationEngine:
         self.holdout = holdout
         self.config_hash = config_hash
         self.config_payload = config_payload or {}
-        self.log_member_models = log_member_models
 
         feature_dim = datasets[0].feature_dim
         self.kernel_dim = make_loss_model(loss, feature_dim).dim
         if initial_model is None:
             initial_model = np.zeros(self.kernel_dim)
+        initial_model = np.array(initial_model, dtype=np.float64)
         if initial_model.shape != (self.kernel_dim,):
-            raise ValueError("initial model dimension mismatch")
-        self.initial_model = np.asarray(initial_model, dtype=float)
+            raise ValueError(
+                f"initial model shape {initial_model.shape} != ({self.kernel_dim},)"
+            )
+        if not np.all(np.isfinite(initial_model)):
+            raise ValueError("initial model must be finite")
+        initial_model.flags.writeable = False
+        self.initial_model = initial_model
 
         self.member_sizes = {k: ds.size for k, ds in self.datasets.items()}
         self.partition_sizes = {
@@ -248,18 +252,17 @@ class SimulationEngine:
             config=self.config_payload,
         )
 
-    def _train_partition(self, members, global_model: ModelVector, round_index: int):
+    def _train_partition(self, members, global_model: np.ndarray, round_index: int):
         offset = (round_index - 1) * self.sgd.local_steps
         trained = {}
         for k in members:
             rng = np.random.default_rng(np.random.SeedSequence((self.seed, 5, round_index, k)))
-            model = local_sgd(
+            trained[k] = local_sgd(
                 global_model, self.datasets[k], self.loss, self.sgd, rng=rng, step_offset=offset
             )
-            trained[k] = ModelVector(model.values, owner=k, round_produced=round_index)
         return trained
 
-    def _snapshot(self, model: ModelVector) -> tuple[float, float | None]:
+    def _snapshot(self, model: np.ndarray) -> tuple[float, float | None]:
         loss_value = global_loss(model, list(self.datasets.values()), self.loss)
         accuracy = None
         if self.holdout is not None and self.loss.kind != "quadratic":
@@ -306,7 +309,7 @@ class SimulationEngine:
         rng_overhead = np.random.default_rng(np.random.SeedSequence((self.seed, 3)))
         plog = ParticipationLog(self.partitions.ids)
         cache = ModelCache()
-        model = ModelVector(self.initial_model.copy(), owner="global", round_produced=0)
+        model = self.initial_model
         records: list[RoundRecord] = []
         warned_cache_miss: set[int] = set()
         warned_stall = False
@@ -359,7 +362,7 @@ class SimulationEngine:
                 t += 1
                 continue
 
-            aggregating: dict[int, dict[int, ModelVector]] = {}
+            aggregating: dict[int, Mapping[int, np.ndarray]] = {}
             cached_ages: dict[int, int] = {}
             excluded: list[int] = []
             for pid in selected:
@@ -395,11 +398,9 @@ class SimulationEngine:
             )
             if self.aggregation_mode == "normalized":
                 max_norm = max(
-                    float(np.linalg.norm(m.values))
-                    for ms in aggregating.values()
-                    for m in ms.values()
+                    float(np.linalg.norm(m)) for ms in aggregating.values() for m in ms.values()
                 )
-                if float(np.linalg.norm(new_model.values)) > max_norm + 1e-9:
+                if float(np.linalg.norm(new_model)) > max_norm + 1e-9:
                     raise SimulationError(
                         f"round {t}: aggregate norm exceeds member maximum; "
                         "convexity violated"
@@ -407,13 +408,6 @@ class SimulationEngine:
 
             record_round(plog, selected, t)
             loss_value, accuracy = self._snapshot(new_model)
-            member_payload = None
-            if self.log_member_models:
-                member_payload = {
-                    k: m.values.tolist()
-                    for ms in aggregating.values()
-                    for k, m in sorted(ms.items())
-                }
             records.append(
                 RoundRecord(
                     round_index=t,
@@ -428,8 +422,10 @@ class SimulationEngine:
                     frequencies=freqs,
                     beta=dict(weights.beta),
                     weight_starved=weights.weight_starved,
-                    member_models=member_payload,
-                    global_after=new_model.values.tolist(),
+                    member_models={
+                        k: m.tolist() for ms in aggregating.values() for k, m in sorted(ms.items())
+                    },
+                    global_after=new_model.tolist(),
                     global_loss=loss_value,
                     accuracy=accuracy,
                 )
@@ -605,4 +601,4 @@ def _persist(result: SimulationResult, config: SimConfig, event_log_path, checkp
                 save_checkpoint(
                     ckpt / f"round_{rec.round_index:06d}.bin", np.asarray(rec.global_after)
                 )
-        save_checkpoint(ckpt / "final.bin", result.final_model.values)
+        save_checkpoint(ckpt / "final.bin", result.final_model)

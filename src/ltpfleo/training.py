@@ -4,7 +4,8 @@ Three desk-scale loss families are provided: ``quadratic`` (least squares,
 strongly convex with a ridge term), ``logistic-l2`` (one-vs-rest regularised
 logistic regression over bias-augmented features, smoothness bounded by
 max row norm / 4 plus the ridge), and ``mlp-small`` (one tanh hidden layer,
-non-convex, excluded from the convergence theory).
+non-convex, excluded from the convergence theory). Models are flat,
+read-only float64 arrays; ``local_sgd`` returns a new one.
 """
 from __future__ import annotations
 
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .aggregation import ModelVector
 
 LOSS_KINDS = ("quadratic", "logistic-l2", "mlp-small")
 SPLITS = ("iid", "non-iid-2class")
@@ -255,28 +254,29 @@ def project_ball(w: np.ndarray, radius: float) -> np.ndarray:
 
 
 def local_sgd(
-    model: ModelVector,
+    model: np.ndarray,
     dataset: Dataset,
     loss: LossSpec,
     cfg: SgdConfig,
     *,
     rng: np.random.Generator | None = None,
     step_offset: int = 0,
-) -> ModelVector:
+) -> np.ndarray:
     """Run the configured number of mini-batch SGD steps from ``model``.
 
     Batches are sampled with replacement; a batch size at or above the
     dataset size falls back to the full deterministic gradient. With a clip
     radius every iterate is projected back onto the ball, which keeps the
     stochastic gradients bounded. The global step index (offset + local
-    step, 1-based) drives decaying learning-rate schedules.
+    step, 1-based) drives decaying learning-rate schedules. The result is
+    read-only; a non-finite result raises ``FloatingPointError``.
     """
     kernel = make_loss_model(loss, dataset.feature_dim)
-    if model.dim != kernel.dim:
-        raise ValueError(f"model dimension {model.dim} != loss dimension {kernel.dim}")
+    if model.shape != (kernel.dim,):
+        raise ValueError(f"model shape {model.shape} != loss dimension ({kernel.dim},)")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    w = model.values.copy()
+    w = model
     n = dataset.size
     full_batch = cfg.mini_batch >= n
     for i in range(cfg.local_steps):
@@ -294,23 +294,28 @@ def local_sgd(
         w = w - cfg.rate_at(step_offset + i + 1) * g
         if loss.clip_radius is not None:
             w = project_ball(w, loss.clip_radius)
-    return ModelVector(w, owner=dataset.owner, round_produced=model.round_produced)
+    if not np.all(np.isfinite(w)):
+        raise FloatingPointError(
+            f"non-finite model after {cfg.local_steps} local steps (owner {dataset.owner})"
+        )
+    w.flags.writeable = False
+    return w
 
 
-def global_loss(model: ModelVector, datasets: Sequence[Dataset], loss: LossSpec) -> float:
+def global_loss(model: np.ndarray, datasets: Sequence[Dataset], loss: LossSpec) -> float:
     """Data-size weighted mean of the per-satellite losses."""
     if not datasets:
         raise ValueError("need at least one dataset")
     kernel = make_loss_model(loss, datasets[0].feature_dim)
     total = sum(d.size for d in datasets)
     return float(
-        sum(d.size * kernel.loss(model.values, d.features, d.labels) for d in datasets) / total
+        sum(d.size * kernel.loss(model, d.features, d.labels) for d in datasets) / total
     )
 
 
-def global_accuracy(model: ModelVector, dataset: Dataset, loss: LossSpec) -> float:
+def global_accuracy(model: np.ndarray, dataset: Dataset, loss: LossSpec) -> float:
     kernel = make_loss_model(loss, dataset.feature_dim)
-    pred = kernel.predict(model.values, dataset.features)
+    pred = kernel.predict(model, dataset.features)
     return float(np.mean(pred == dataset.labels.astype(int)))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import lockstep_schedule, make_schedule
-from ltpfleo.aggregation import ModelVector, compute_weights
+from ltpfleo.aggregation import compute_weights
 from ltpfleo.analysis import (
     check_one_step_contraction,
     compute_bound_params,
@@ -108,7 +108,6 @@ def theorem_instance():
             seed=1000 + s,
             rounds=rounds,
             initial_model=np.zeros(d),
-            log_member_models=False,
         )
         res = engine.run()
         assert len(res.records) == rounds
@@ -149,7 +148,7 @@ def smoke_runs():
         np.concatenate([d.labels for d in train]),
         owner=0,
     )
-    w = ModelVector(np.zeros(kernel.dim))
+    w = np.zeros(kernel.dim)
     w = local_sgd(
         w, pooled, loss, SgdConfig(local_steps=400, learning_rate=0.5, mini_batch=10**9)
     )
@@ -169,7 +168,6 @@ def smoke_runs():
             rounds=200,
             initial_model=np.zeros(kernel.dim),
             holdout=holdout,
-            log_member_models=False,
         )
         by_level[level] = engine.run()
     return {
@@ -231,7 +229,6 @@ def test_criterion_02_ltp_property_suite():
                 alpha=alphas[int(rng.integers(0, 4))],
                 seed=int(rng.integers(1 << 30)),
                 rounds=6,
-                log_member_models=False,
             )
             result = engine.run()
         reports = ltp_verdict_over_run(result.header, result.records, window_rounds=5)

@@ -6,21 +6,10 @@ import pytest
 from ltpfleo.aggregation import (
     CacheMissError,
     ModelCache,
-    ModelVector,
     aggregate,
     compute_weights,
     member_weights,
 )
-
-
-class TestModelVector:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            ModelVector(np.array([1.0, np.nan]))
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError, match="flat"):
-            ModelVector(np.zeros((2, 2)))
 
 
 class TestComputeWeights:
@@ -91,15 +80,15 @@ class TestComputeWeights:
             assert abs(sum(w.beta_float(p) for p in pids) - 1.0) < 1e-12
 
 
-def _mv(values, owner=0):
-    return ModelVector(np.asarray(values, dtype=float), owner=owner, round_produced=1)
+def _mv(values):
+    return np.asarray(values, dtype=float)
 
 
 class TestAggregate:
     def test_single_member_identity(self):
         w = compute_weights([0], {0: 1}, {0: 5}, 2)
         out = aggregate(w, {0: {7: _mv([1.0, -2.0, 3.0])}}, {7: 5}, {0: (7,)})
-        np.testing.assert_array_equal(out.values, [1.0, -2.0, 3.0])
+        np.testing.assert_array_equal(out, [1.0, -2.0, 3.0])
 
     def test_midpoint_of_two_partitions(self):
         w = compute_weights([0, 1], {0: 3, 1: 3}, {0: 10, 1: 10}, 5)
@@ -109,7 +98,7 @@ class TestAggregate:
             {0: 10, 1: 10},
             {0: (0,), 1: (1,)},
         )
-        np.testing.assert_allclose(out.values, [0.5, 0.5])
+        np.testing.assert_allclose(out, [0.5, 0.5])
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(12)
@@ -118,7 +107,7 @@ class TestAggregate:
             sizes = {k: int(rng.integers(1, 40)) for k in range(6)}
             psizes = {p: sum(sizes[k] for k in ms) for p, ms in members.items()}
             freqs = {p: int(rng.integers(1, 9)) for p in members}
-            models = {p: {k: _mv(rng.normal(size=4), owner=k) for k in ms}
+            models = {p: {k: _mv(rng.normal(size=4)) for k in ms}
                       for p, ms in members.items()}
             w = compute_weights(list(members), freqs, psizes, 3)
             out = aggregate(w, models, sizes, members)
@@ -127,27 +116,27 @@ class TestAggregate:
             for p, ms in members.items():
                 inner = np.zeros(4)
                 for k in ms:
-                    inner += (sizes[k] / psizes[p]) * models[p][k].values
+                    inner += (sizes[k] / psizes[p]) * models[p][k]
                 expected += float(w.beta[p]) * inner
-            np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_convex_combination_norm_bound(self):
         rng = np.random.default_rng(9)
         members = {0: (0, 1), 1: (2, 3)}
         sizes = {k: int(rng.integers(1, 10)) for k in range(4)}
         psizes = {p: sum(sizes[k] for k in ms) for p, ms in members.items()}
-        models = {p: {k: _mv(rng.normal(size=6), owner=k) for k in ms}
+        models = {p: {k: _mv(rng.normal(size=6)) for k in ms}
                   for p, ms in members.items()}
         w = compute_weights(list(members), {0: 2, 1: 5}, psizes, 8)
         out = aggregate(w, models, sizes, members)
-        max_member = max(np.linalg.norm(m.values) for d in models.values() for m in d.values())
-        assert np.linalg.norm(out.values) <= max_member + 1e-12
+        max_member = max(np.linalg.norm(m) for d in models.values() for m in d.values())
+        assert np.linalg.norm(out) <= max_member + 1e-12
 
     def test_literal_mode_applies_raw_inner_sum(self):
         w = compute_weights([0], {0: 1}, {0: 20}, 2)
         models = {0: {0: _mv([1.0, 1.0]), 1: _mv([1.0, 1.0])}}
         out = aggregate(w, models, {0: 10, 1: 10}, {0: (0, 1)}, mode="literal")
-        np.testing.assert_allclose(out.values, [2.0, 2.0])
+        np.testing.assert_allclose(out, [2.0, 2.0])
 
     def test_rejects_missing_member(self):
         w = compute_weights([0], {0: 1}, {0: 10}, 2)
@@ -159,6 +148,13 @@ class TestAggregate:
         models = {0: {0: _mv([1.0, 2.0]), 1: _mv([1.0])}}
         with pytest.raises(ValueError, match="dimension"):
             aggregate(w, models, {0: 5, 1: 5}, {0: (0, 1)})
+
+    def test_rejects_overflow_to_inf(self):
+        # Two finite members whose raw sum overflows in literal mode.
+        w = compute_weights([0], {0: 1}, {0: 10}, 2)
+        models = {0: {0: _mv([1e308]), 1: _mv([1e308])}}
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            aggregate(w, models, {0: 5, 1: 5}, {0: (0, 1)}, mode="literal")
 
 
 class TestMemberWeights:
@@ -180,17 +176,18 @@ class TestModelCache:
         cache.fetch_or_cache(0, True, 4, {1: _mv([2.0])})
         models, age = cache.fetch_or_cache(0, False, 10)
         assert age == 6
-        np.testing.assert_array_equal(models[1].values, [2.0])
+        np.testing.assert_array_equal(models[1], [2.0])
 
     def test_miss_raises(self):
         cache = ModelCache()
         with pytest.raises(CacheMissError):
             cache.fetch_or_cache(5, False, 1)
 
-    def test_cache_isolated_from_caller_mutation(self):
+    def test_cache_keeps_the_arrays_not_the_callers_dict(self):
         cache = ModelCache()
-        fresh = {1: _mv([1.0, 1.0])}
+        model = _mv([1.0, 1.0])
+        fresh = {1: model}
         cache.fetch_or_cache(0, True, 1, fresh)
-        fresh[1].values[0] = 99.0
+        fresh[1] = _mv([99.0, 99.0])
         models, _ = cache.fetch_or_cache(0, False, 2)
-        assert models[1].values[0] == 1.0
+        assert models[1] is model

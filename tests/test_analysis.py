@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from ltpfleo.aggregation import ModelVector
 from ltpfleo.analysis import (
     BoundParams,
     ConvexityConstants,
@@ -262,11 +261,11 @@ class TestContraction:
         )
         params = compute_bound_params(constants, 1, 4.0, 0.0)
         eta = 1.0 / (4.0 * a)
-        w = ModelVector(np.array([2.0]))
-        traj = [w.values.copy()]
+        w = np.array([2.0])
+        traj = [w]
         for _ in range(10):
             w = local_sgd(w, ds, spec, SgdConfig(local_steps=1, learning_rate=eta, mini_batch=4))
-            traj.append(w.values.copy())
+            traj.append(w)
         # Closed-form oracle for the iterates.
         expected = [2.0 * (1 - eta * a) ** i for i in range(11)]
         np.testing.assert_allclose([float(v[0]) for v in traj], expected, rtol=1e-12)
@@ -313,7 +312,7 @@ class TestFairnessGap:
         datasets = synthesize_data("blobs", 3, [60], "iid", seed=9)
         spec = LossSpec("logistic-l2", regularization=0.01, num_classes=3)
         kernel = make_loss_model(spec, 2)
-        w = ModelVector(np.zeros(kernel.dim))
+        w = np.zeros(kernel.dim)
         w = local_sgd(w, datasets[0], spec,
                       SgdConfig(local_steps=200, learning_rate=0.5, mini_batch=10**9))
         log = ParticipationLog([0])

@@ -171,6 +171,34 @@ class TestCliPipeline:
         for name in ("leakage.json", "analysis.json", "summary.json"):
             assert (rep1 / name).read_bytes() == (rep2 / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "overrides, extra_csv",
+        [
+            (["rounds=6", "samples_per_satellite=12"], "confusion_matrix.csv"),
+            (
+                ["rounds=6", "samples_per_satellite=12", "eval_fraction=0",
+                 "loss_kind=quadratic", "data_kind=linear-regression", "clip_radius=5"],
+                "bound_vs_round.csv",
+            ),
+        ],
+    )
+    def test_report_writes_what_audit_and_analyze_write(self, tmp_path, overrides, extra_csv):
+        out = tmp_path / "run"
+        sets = [x for key in overrides for x in ("--set", key)]
+        assert run_cli("simulate", *sets, "--out-dir", str(out)) == 0
+        log = str(out / "events.jsonl")
+        leakage = tmp_path / "audit" / "leakage.json"
+        ana, rep = tmp_path / "analysis", tmp_path / "report"
+        assert run_cli("audit", "--log", log, "--out", str(leakage)) == 0
+        assert run_cli("analyze", "--log", log, "--out-dir", str(ana)) == 0
+        assert run_cli("report", "--manifest", str(out / "manifest.json"),
+                       "--out-dir", str(rep)) == 0
+        assert (rep / "leakage.json").read_bytes() == leakage.read_bytes()
+        written = {p.name for p in ana.iterdir()}
+        assert {"analysis.json", "gap_vs_round.csv", extra_csv} <= written
+        for name in written:
+            assert (rep / name).read_bytes() == (ana / name).read_bytes(), name
+
     def test_visibility_flagship_constellation(self, tmp_path):
         # 5 planes x 10 satellites over one day: the CSV covers all 50.
         out = tmp_path / "sched.csv"

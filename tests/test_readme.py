@@ -1,0 +1,11 @@
+"""The README's programmatic example runs as written."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_programmatic_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -4,7 +4,6 @@ import pytest
 from ltpfleo.scheduling import (
     FULL_FAIRNESS,
     ParticipationLog,
-    participation_frequency,
     record_round,
     staleness_filter,
 )
@@ -19,18 +18,18 @@ class TestParticipationFrequency:
     def test_full_participation_history(self):
         log = ParticipationLog([1, 2, 3, 4])
         play_rounds(log, [{3}] * 9)
-        assert participation_frequency(log, 3, 10) == 9
+        assert log.frequency(3, 10) == 9
 
     def test_empty_log(self):
         log = ParticipationLog([1])
-        assert participation_frequency(log, 1, 1) == 0
+        assert log.frequency(1, 1) == 0
 
     def test_alternating_oracle(self):
         # Direct summation oracle: 1,0,1,0,1 over five rounds.
         pattern = [1, 0, 1, 0, 1]
         log = ParticipationLog([7])
         play_rounds(log, [{7} if bit else set() for bit in pattern])
-        assert participation_frequency(log, 7, 6) == sum(pattern)
+        assert log.frequency(7, 6) == sum(pattern)
 
     def test_monotone_unit_increments(self):
         rng = np.random.default_rng(3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import lockstep_schedule, make_schedule
+from ltpfleo.aggregation import ModelCache
 from ltpfleo.eventlog import (
     SchemaMismatchError,
     load_checkpoint,
@@ -90,7 +91,7 @@ class TestEngineBasics:
         engine = small_engine(sched, ltp=2, rounds=0, k=4, initial_model=init)
         result = engine.run()
         assert result.records == []
-        np.testing.assert_array_equal(result.final_model.values, init)
+        np.testing.assert_array_equal(result.final_model, init)
 
     def test_monotone_sim_time(self):
         sched = lockstep_schedule(6, cycles=60)
@@ -153,6 +154,48 @@ class TestEngineBasics:
 
 def stall_warnings(caught):
     return [w for w in caught if "staleness band" in str(w.message)]
+
+
+class TestEngineModels:
+    def test_rejects_non_finite_initial_model(self):
+        sched = lockstep_schedule(4, cycles=5)
+        with pytest.raises(ValueError, match="finite"):
+            small_engine(sched, k=4, initial_model=np.array([1.0, np.nan, 0.0]))
+
+    def test_rejects_matrix_initial_model(self):
+        sched = lockstep_schedule(4, cycles=5)
+        with pytest.raises(ValueError, match="shape"):
+            small_engine(sched, k=4, initial_model=np.zeros((3, 3)))
+
+    def test_produced_and_cached_models_are_read_only(self, monkeypatch):
+        # Partition {2, 3} is visible only at first, so later rounds fetch
+        # its models from the cache.
+        spans0 = [(n * 1000.0, n * 1000.0 + 400.0) for n in range(40)]
+        sched = make_schedule(
+            {0: spans0, 1: spans0, 2: [(0.0, 400.0)], 3: [(0.0, 400.0)]},
+            horizon_s=41000.0,
+        )
+        handed_out = []
+        original = ModelCache.fetch_or_cache
+
+        def recording(self, *args, **kwargs):
+            models, age = original(self, *args, **kwargs)
+            handed_out.append((age, models))
+            return models, age
+
+        monkeypatch.setattr(ModelCache, "fetch_or_cache", recording)
+        init = np.zeros(3)
+        engine = small_engine(sched, k=4, ltp=2, alpha="t", rounds=6, initial_model=init)
+        result = engine.run()
+        assert any(age > 0 for age, _ in handed_out)
+        produced = [m for _, models in handed_out for m in models.values()]
+        produced += [engine.initial_model, result.final_model]
+        for model in produced:
+            assert model.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                model[0] = 1.0
+        init[0] = 5.0  # the caller's array stays the caller's
+        assert engine.initial_model[0] == 0.0
 
 
 class TestIntegerAlphaStall:
@@ -414,7 +457,7 @@ class TestConfigLevelRun:
         assert log.exists()
         assert (ckpt / "final.bin").exists()
         final = load_checkpoint(ckpt / "final.bin")
-        assert final.tobytes() == result.final_model.values.tobytes()
+        assert final.tobytes() == result.final_model.tobytes()
 
     def test_run_baseline_header_mode(self, tmp_path):
         cfg = smoke_config()

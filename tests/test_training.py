@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ltpfleo.aggregation import ModelVector
 from ltpfleo.training import (
     Dataset,
     InverseDecayRate,
@@ -67,23 +66,23 @@ class TestLocalSgd:
     def test_zero_rate_is_identity(self):
         ds = Dataset(np.array([[1.0]]), np.array([3.0]))
         out = local_sgd(
-            ModelVector(np.array([5.0])),
+            np.array([5.0]),
             ds,
             LossSpec("quadratic"),
             SgdConfig(local_steps=4, learning_rate=0.0, mini_batch=8),
         )
-        assert out.values[0] == 5.0
+        assert out[0] == 5.0
 
     def test_one_dim_closed_form_step(self):
         # F(w) = (w - 3)^2 / 2, w0 = 0, eta = 0.5, one full-batch step -> 1.5.
         ds = Dataset(np.array([[1.0]]), np.array([3.0]))
         out = local_sgd(
-            ModelVector(np.array([0.0])),
+            np.array([0.0]),
             ds,
             LossSpec("quadratic"),
             SgdConfig(local_steps=1, learning_rate=0.5, mini_batch=8),
         )
-        assert out.values[0] == pytest.approx(1.5, abs=1e-15)
+        assert out[0] == pytest.approx(1.5, abs=1e-15)
 
     def test_logistic_loss_decreases(self):
         rng = np.random.default_rng(1)
@@ -91,45 +90,56 @@ class TestLocalSgd:
         X, y = random_classification_data(rng, n=20, d=2, classes=2)
         ds = Dataset(X, y)
         kernel = make_loss_model(spec, 2)
-        w0 = ModelVector(np.zeros(kernel.dim))
+        w0 = np.zeros(kernel.dim)
         w1 = local_sgd(w0, ds, spec, SgdConfig(local_steps=5, learning_rate=0.2, mini_batch=64))
         # Independent evaluation path: direct mean over raw samples.
         def eval_loss(vec):
             return kernel.loss(vec, X, y)
 
-        assert eval_loss(w1.values) <= eval_loss(w0.values)
+        assert eval_loss(w1) <= eval_loss(w0)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         ds = Dataset(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40))
         spec = LossSpec("logistic-l2", regularization=0.01, num_classes=2)
         cfg = SgdConfig(local_steps=10, learning_rate=0.1, mini_batch=4, seed=99)
-        w0 = ModelVector(np.zeros(make_loss_model(spec, 3).dim))
+        w0 = np.zeros(make_loss_model(spec, 3).dim)
         a = local_sgd(w0, ds, spec, cfg)
         b = local_sgd(w0, ds, spec, cfg)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_projection_keeps_iterates_in_ball(self):
         rng = np.random.default_rng(3)
         ds = Dataset(rng.normal(size=(30, 2)), rng.normal(size=30) * 50)
         spec = LossSpec("quadratic", clip_radius=1.0)
         cfg = SgdConfig(local_steps=25, learning_rate=0.5, mini_batch=5, seed=1)
-        out = local_sgd(ModelVector(np.zeros(2)), ds, spec, cfg)
-        assert np.linalg.norm(out.values) <= 1.0 + 1e-12
+        out = local_sgd(np.zeros(2), ds, spec, cfg)
+        assert np.linalg.norm(out) <= 1.0 + 1e-12
 
     def test_dimension_mismatch_rejected(self):
         ds = Dataset(np.ones((2, 3)), np.zeros(2))
         with pytest.raises(ValueError, match="dimension"):
-            local_sgd(ModelVector(np.zeros(2)), ds, LossSpec("quadratic"), SgdConfig())
+            local_sgd(np.zeros(2), ds, LossSpec("quadratic"), SgdConfig())
 
     def test_non_finite_gradient_aborts_with_diagnostics(self):
         ds = Dataset(np.array([[1e200]]), np.array([-1e200]))
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="local step"):
             local_sgd(
-                ModelVector(np.array([1e200])),
+                np.array([1e200]),
                 ds,
                 LossSpec("quadratic"),
                 SgdConfig(local_steps=3, learning_rate=1.0, mini_batch=4),
+            )
+
+    def test_overflowing_step_aborts(self):
+        # The gradient 1e308 is finite; the step 2 * 1e308 overflows the model.
+        ds = Dataset(np.array([[1.0]]), np.array([0.0]))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite model"):
+            local_sgd(
+                np.array([1e308]),
+                ds,
+                LossSpec("quadratic"),
+                SgdConfig(local_steps=1, learning_rate=2.0, mini_batch=4),
             )
 
     def test_inverse_decay_schedule(self):
@@ -144,17 +154,17 @@ class TestGlobalLoss:
         rng = np.random.default_rng(4)
         ds = Dataset(rng.normal(size=(10, 2)), rng.normal(size=10))
         spec = LossSpec("quadratic", regularization=0.2)
-        w = ModelVector(rng.normal(size=2))
+        w = rng.normal(size=2)
         kernel = make_loss_model(spec, 2)
         assert global_loss(w, [ds], spec) == pytest.approx(
-            kernel.loss(w.values, ds.features, ds.labels)
+            kernel.loss(w, ds.features, ds.labels)
         )
 
     def test_identical_satellites_symmetry(self):
         rng = np.random.default_rng(5)
         X, y = rng.normal(size=(8, 2)), rng.normal(size=8)
         spec = LossSpec("quadratic")
-        w = ModelVector(rng.normal(size=2))
+        w = rng.normal(size=2)
         d1 = Dataset(X, y, owner=0)
         d2 = Dataset(X.copy(), y.copy(), owner=1)
         assert global_loss(w, [d1, d2], spec) == pytest.approx(global_loss(w, [d1], spec))
@@ -167,13 +177,13 @@ class TestGlobalLoss:
             Dataset(rng.normal(size=(n, 3)), rng.normal(size=n), owner=i)
             for i, n in enumerate([5, 17, 8, 30, 11])
         ]
-        w = ModelVector(rng.normal(size=3))
+        w = rng.normal(size=3)
         pooled = Dataset(
             np.vstack([d.features for d in datasets]),
             np.concatenate([d.labels for d in datasets]),
         )
         kernel = make_loss_model(spec, 3)
-        pooled_loss = kernel.loss(w.values, pooled.features, pooled.labels)
+        pooled_loss = kernel.loss(w, pooled.features, pooled.labels)
         assert abs(global_loss(w, datasets, spec) - pooled_loss) < 1e-12
 
 
@@ -235,7 +245,7 @@ class TestSynthesizeData:
             np.concatenate([d.labels for d in datasets]),
         )
         spec = LossSpec("logistic-l2", regularization=1e-3, num_classes=10)
-        w = ModelVector(np.zeros(make_loss_model(spec, 2).dim))
+        w = np.zeros(make_loss_model(spec, 2).dim)
         cfg = SgdConfig(local_steps=400, learning_rate=0.5, mini_batch=10**9, seed=0)
         w = local_sgd(w, pooled, spec, cfg)
         assert global_accuracy(w, pooled, spec) >= 0.95

@@ -1,10 +1,11 @@
 """Numerical evaluation of the convergence theory and fairness accounting.
 
 Estimates the smoothness / strong-convexity / noise constants of a convex
-training instance, evaluates the expected-optimality-gap bound and the
-round-count estimate built from them, checks the per-step contraction
-inequality on recorded trajectories, and reports empirical participation
-fairness.
+training instance in closed form (one symmetric eigensolve of the pooled
+Hessian, per-sample gradients batched by the loss kernel), evaluates the
+expected-optimality-gap bound and the round-count estimate built from them,
+checks the per-step contraction inequality on recorded trajectories, and
+reports empirical participation fairness.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .scheduling import ParticipationLog
-from .training import Dataset, LossSpec, make_loss_model
+from .training import Dataset, InverseDecayRate, LossSpec, make_loss_model
 
 PROBE_POINTS = 100
 
@@ -93,34 +94,19 @@ class FairnessReport:
 # ---------------------------------------------------------------------------
 # Constants estimation
 
-def _power_iteration(mat: np.ndarray, iters: int = 800, seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=mat.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = mat @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return float(v @ mat @ v)
-
-
-def extreme_eigenvalues(mat: np.ndarray, seed: int = 0) -> tuple[float, float]:
-    """(largest, smallest) eigenvalue of a symmetric PSD matrix via power
-    iteration, the smallest through the complementary shifted matrix."""
-    lam_max = _power_iteration(mat, seed=seed)
-    shifted = lam_max * np.eye(mat.shape[0]) - mat
-    lam_min = lam_max - _power_iteration(shifted, seed=seed + 1)
-    return lam_max, lam_min
-
-
-def _quadratic_terms(ds: Dataset, reg: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """F_k(w) = w'Hw/2 - b'w + c for the ridge least-squares loss."""
-    n, d = ds.features.shape
-    h = ds.features.T @ ds.features / n + reg * np.eye(d)
-    b = ds.features.T @ ds.labels / n
-    c = float(ds.labels @ ds.labels) / (2 * n)
+def _pooled_quadratic(
+    datasets: Sequence[Dataset], reg: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """F(w) = w'Hw/2 - b'w + c, the data-size weighted ridge least-squares loss."""
+    total = sum(ds.size for ds in datasets)
+    d = datasets[0].feature_dim
+    h, b, c = np.zeros((d, d)), np.zeros(d), 0.0
+    for ds in datasets:
+        X, y, n = ds.features, ds.labels, ds.size
+        s = n / total
+        h += s * (X.T @ X / n + reg * np.eye(d))
+        b += s * (X.T @ y / n)
+        c += s * (float(y @ y) / (2 * n))
     return h, b, c
 
 
@@ -130,30 +116,18 @@ def _sample_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarra
     return radius * rng.uniform() ** (1.0 / dim) * u
 
 
-def _per_sample_grads(kernel, w: np.ndarray, ds: Dataset) -> np.ndarray:
-    return np.stack([kernel.grad(w, ds.features[j : j + 1], ds.labels[j : j + 1])
-                     for j in range(ds.size)])
-
-
 def solve_optimum(loss: LossSpec, datasets: Sequence[Dataset]) -> tuple[np.ndarray, float]:
     """Minimiser and minimum of the data-size weighted global loss.
 
     Closed form for quadratics; deterministic full-gradient descent to
     gradient norm 1e-12 for the logistic loss.
     """
-    total = sum(d.size for d in datasets)
     if loss.kind == "quadratic":
-        d = datasets[0].feature_dim
-        h_acc, b_acc, c_acc = np.zeros((d, d)), np.zeros(d), 0.0
-        for ds in datasets:
-            h, b, c = _quadratic_terms(ds, loss.regularization)
-            s = ds.size / total
-            h_acc += s * h
-            b_acc += s * b
-            c_acc += s * c
-        w_star = np.linalg.solve(h_acc, b_acc)
-        f_star = 0.5 * w_star @ h_acc @ w_star - b_acc @ w_star + c_acc
+        h, b, c = _pooled_quadratic(datasets, loss.regularization)
+        w_star = np.linalg.solve(h, b)
+        f_star = 0.5 * w_star @ h @ w_star - b @ w_star + c
         return w_star, float(f_star)
+    total = sum(d.size for d in datasets)
     if loss.kind == "logistic-l2":
         if loss.regularization <= 0:
             raise ValueError("logistic optimum needs regularization > 0")
@@ -197,10 +171,11 @@ def estimate_constants(
 ) -> ConvexityConstants:
     """Measure the instance constants on the projection ball of radius R.
 
-    Quadratic: exact pooled-Hessian eigenvalues by power iteration, analytic
-    gradient bound. Logistic: max-row-norm smoothness bound, ridge strong
-    convexity, sampled gradient bound with a 10% safety factor. Gradient
-    noise is the worst empirical mini-batch variance over sampled points;
+    Quadratic: the extreme eigenvalues of the pooled Hessian (one symmetric
+    eigensolve), analytic gradient bound. Logistic: max-row-norm smoothness
+    bound, ridge strong convexity, sampled gradient bound with a 10% safety
+    factor. Gradient noise is the worst empirical mini-batch variance of the
+    kernel's closed-form per-sample gradients over sampled points;
     heterogeneity compares the global optimum against per-satellite optima.
     """
     if loss.kind == "mlp-small":
@@ -212,12 +187,8 @@ def estimate_constants(
     kernel = make_loss_model(loss, datasets[0].feature_dim)
 
     if loss.kind == "quadratic":
-        d = datasets[0].feature_dim
-        pooled = np.zeros((d, d))
-        for ds in datasets:
-            h, _, _ = _quadratic_terms(ds, loss.regularization)
-            pooled += weights[ds.owner] * h
-        smooth, strong = extreme_eigenvalues(pooled, seed=seed)
+        eigenvalues = np.linalg.eigvalsh(_pooled_quadratic(datasets, loss.regularization)[0])
+        smooth, strong = eigenvalues[-1], eigenvalues[0]
         grad_bound = max(
             float(
                 np.max(
@@ -240,7 +211,7 @@ def estimate_constants(
         worst_norm = 0.0
         for _ in range(probe_points):
             w = _sample_ball(rng, kernel.dim, clip_radius)
-            grads = _per_sample_grads(kernel, w, ds)
+            grads = kernel.sample_grads(w, ds.features, ds.labels)
             norms = np.linalg.norm(grads, axis=1)
             worst_norm = max(worst_norm, float(np.max(norms)))
             mean = grads.mean(axis=0)
@@ -309,16 +280,10 @@ def theorem_bound(
     return lead * ((params.lam + params.nu) / mu + mu * params.upsilon / 4.0 * params.initial_gap)
 
 
-def theory_rate(constants: ConvexityConstants, params: BoundParams) -> Callable[[int], float]:
-    """Decaying step schedule 2 / (mu * (upsilon + step)) matching the bound's
+def theory_rate(constants: ConvexityConstants, params: BoundParams) -> InverseDecayRate:
+    """Decaying step schedule (2 / mu) / (upsilon + step) matching the bound's
     premises (always <= 1/(4 smoothness))."""
-    mu = constants.strong_convexity
-    upsilon = params.upsilon
-
-    def rate(step: int) -> float:
-        return 2.0 / (mu * (upsilon + step))
-
-    return rate
+    return InverseDecayRate(2.0 / constants.strong_convexity, params.upsilon)
 
 
 def rounds_estimate(
@@ -398,10 +363,13 @@ def check_one_step_contraction(
 # Fairness and empirical curves
 
 def confusion_matrix(pred: np.ndarray, true: np.ndarray, num_classes: int) -> np.ndarray:
-    mat = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(true.astype(int), pred.astype(int)):
-        mat[t, p] += 1
-    return mat
+    """Counts indexed [true class, predicted class]."""
+    t, p = true.astype(np.int64), pred.astype(np.int64)
+    if np.any((t < 0) | (t >= num_classes) | (p < 0) | (p >= num_classes)):
+        raise ValueError(f"labels and predictions must lie in [0, {num_classes})")
+    return np.bincount(t * num_classes + p, minlength=num_classes**2).reshape(
+        num_classes, num_classes
+    )
 
 
 def fairness_gap(

@@ -215,8 +215,7 @@ def load_config(path=None, overrides=None) -> SimConfig:
 def config_from_header_payload(payload: dict) -> SimConfig:
     """Rebuild a SimConfig from the dict embedded in an event-log header.
 
-    Learning-rate schedules serialise as opaque reprs; analysis consumers
-    only need the data/loss/seed fields, so the rate collapses to a constant.
+    A learning rate is a number or an ``InverseDecayRate``'s fields.
     """
     cst = payload["constellation"]
     gs = payload["station"]
@@ -247,7 +246,7 @@ def config_from_header_payload(payload: dict) -> SimConfig:
         loss=LossSpec(**loss),
         sgd=SgdConfig(
             local_steps=sgd["local_steps"],
-            learning_rate=lr if isinstance(lr, (int, float)) else 0.01,
+            learning_rate=InverseDecayRate(**lr) if isinstance(lr, dict) else lr,
             mini_batch=sgd["mini_batch"],
             seed=sgd["seed"],
         ),

@@ -66,12 +66,6 @@ class PartitionSet:
                 return p.id
         raise KeyError(satellite_id)
 
-    def members_of(self, partition_id: int) -> tuple[int, ...]:
-        for p in self.partitions:
-            if p.id == partition_id:
-                return p.members
-        raise KeyError(partition_id)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -173,11 +167,6 @@ def build_partitions(schedule: ContactSchedule, target_ltp: int) -> PartitionSet
             )
         partitions.append(Partition(id=pid, members=members))
     return PartitionSet(partitions=tuple(partitions), target_ltp=target_ltp)
-
-
-def count_selectable_sets(partition_set: PartitionSet) -> int:
-    """Number of nonempty partition subsets the server could pick per round."""
-    return 2 ** len(partition_set.partitions) - 1
 
 
 def common_window_index(

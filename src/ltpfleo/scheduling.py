@@ -34,12 +34,6 @@ class ParticipationLog:
     def rows(self) -> list[frozenset[int]]:
         return list(self._rows)
 
-    def indicator(self, partition_id: int, round_index: int) -> int:
-        """s_G^m for a completed round m (1-based)."""
-        if not 1 <= round_index <= len(self._rows):
-            raise IndexError(f"round {round_index} not recorded")
-        return int(partition_id in self._rows[round_index - 1])
-
     def frequency(self, partition_id: int, upto_round: int) -> int:
         """Participations of the partition over rounds 1 .. upto_round-1."""
         if partition_id not in self._counts:

@@ -130,7 +130,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
-    return repr(obj)
+    raise TypeError(f"{type(obj).__name__} value {obj!r} has no stable JSON form")
 
 
 def config_digest(config: SimConfig) -> str:
@@ -150,10 +150,6 @@ class SimulationResult:
     train_datasets: list[Dataset]
     holdout: Dataset | None
     sim_time_s: float
-
-    @property
-    def global_losses(self) -> list[float]:
-        return [r.global_loss for r in self.records if not r.skipped]
 
 
 class _RoundPlan(NamedTuple):

@@ -95,14 +95,16 @@ class SgdConfig:
         return float(self.learning_rate)
 
 
+@dataclass(frozen=True)
 class InverseDecayRate:
     """Step schedule c / (offset + step); steps are 1-based."""
 
-    def __init__(self, c: float, offset: float):
-        if c <= 0 or offset < 0:
+    c: float
+    offset: float
+
+    def __post_init__(self) -> None:
+        if self.c <= 0 or self.offset < 0:
             raise ValueError("need c > 0 and offset >= 0")
-        self.c = c
-        self.offset = offset
 
     def __call__(self, step: int) -> float:
         return self.c / (self.offset + step)
@@ -130,6 +132,11 @@ class QuadraticModel:
     def grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         r = X @ w - y
         return X.T @ r / X.shape[0] + self.reg * w
+
+    def sample_grads(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """One gradient row per sample: row j is ``grad`` on sample j alone."""
+        r = X @ w - y
+        return X * r[:, None] + self.reg * w
 
     def predict(self, w: np.ndarray, X: np.ndarray) -> np.ndarray:
         return X @ w
@@ -164,14 +171,23 @@ class LogisticL2Model:
         per_sample = np.logaddexp(0.0, -s * z).sum(axis=1)
         return float(np.mean(per_sample) + 0.5 * self.reg * (w @ w))
 
-    def grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _margin_grads(self, w: np.ndarray, X: np.ndarray, y: np.ndarray):
+        """Augmented features, the weight matrix and d loss / d z per sample."""
         Xa = _augment(X)
         W = self._unpack(w)
         z = Xa @ W.T
         s = self._signs(y.astype(int))
-        g_z = -s * _expit(-s * z)  # d softplus(-s z) / d z
+        return Xa, W, -s * _expit(-s * z)  # d softplus(-s z) / d z
+
+    def grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        Xa, W, g_z = self._margin_grads(w, X, y)
         grad_W = g_z.T @ Xa / X.shape[0] + self.reg * W
         return grad_W.ravel()
+
+    def sample_grads(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """One gradient row per sample: row j is ``grad`` on sample j alone."""
+        Xa, W, g_z = self._margin_grads(w, X, y)
+        return (g_z[:, :, None] * Xa[:, None, :] + self.reg * W).reshape(X.shape[0], -1)
 
     def predict(self, w: np.ndarray, X: np.ndarray) -> np.ndarray:
         z = _augment(X) @ self._unpack(w).T
@@ -240,10 +256,6 @@ _MODEL_CLASSES = {
 
 def make_loss_model(spec: LossSpec, feature_dim: int):
     return _MODEL_CLASSES[spec.kind](spec, feature_dim)
-
-
-def model_dim(spec: LossSpec, feature_dim: int) -> int:
-    return make_loss_model(spec, feature_dim).dim
 
 
 def project_ball(w: np.ndarray, radius: float) -> np.ndarray:

@@ -11,7 +11,6 @@ from ltpfleo.analysis import (
     compute_bound_params,
     confusion_matrix,
     estimate_constants,
-    extreme_eigenvalues,
     fairness_gap,
     loglog_slope,
     rounds_estimate,
@@ -22,6 +21,7 @@ from ltpfleo.analysis import (
 from ltpfleo.scheduling import ParticipationLog, record_round
 from ltpfleo.training import (
     Dataset,
+    InverseDecayRate,
     LossSpec,
     SgdConfig,
     local_sgd,
@@ -38,19 +38,27 @@ def quadratic_instance(rng, sats=5, n=30, d=4, heterogeneity=1.0, reg=0.1):
     return datasets, LossSpec("quadratic", regularization=reg, clip_radius=10.0)
 
 
-class TestExtremeEigenvalues:
-    def test_against_eigvalsh(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            a = rng.normal(size=(6, 6))
-            mat = a @ a.T + 0.05 * np.eye(6)
-            lo_hi = np.linalg.eigvalsh(mat)
-            lam_max, lam_min = extreme_eigenvalues(mat, seed=3)
-            assert lam_max == pytest.approx(lo_hi[-1], rel=1e-6)
-            assert lam_min == pytest.approx(lo_hi[0], rel=1e-4, abs=1e-8)
-
-
 class TestEstimateConstants:
+    def test_quadratic_curvature_is_pooled_hessian_spectrum(self):
+        rng = np.random.default_rng(0)
+        for trial in range(10):
+            d = int(rng.integers(1, 7))
+            reg = float(rng.choice([0.0, 0.05, 0.5]))
+            datasets = [
+                Dataset(rng.normal(size=(n, d)) * rng.uniform(0.2, 3.0, size=d),
+                        rng.normal(size=n), owner=k)
+                for k, n in enumerate(rng.integers(d + 2, 40, size=4))
+            ]
+            # Pooled loss = mean over all samples, so its Hessian is X'X / N + reg I.
+            X = np.vstack([ds.features for ds in datasets])
+            spectrum = np.linalg.eigvals(X.T @ X / X.shape[0] + reg * np.eye(d)).real
+            spec = LossSpec("quadratic", regularization=reg, clip_radius=3.0)
+            constants = estimate_constants(spec, datasets, 3.0, 8, probe_points=2, seed=trial)
+            assert constants.smoothness == pytest.approx(spectrum.max(), rel=1e-12)
+            assert constants.strong_convexity == pytest.approx(
+                spectrum.min(), rel=1e-12, abs=1e-12 * spectrum.max()
+            )
+
     def test_identical_satellites_have_zero_heterogeneity(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(20, 3))
@@ -203,6 +211,7 @@ class TestTheoremBound:
         constants = toy_constants()
         params = compute_bound_params(constants, 5, 1.0, 0.0)
         rate = theory_rate(constants, params)
+        assert rate == InverseDecayRate(2.0 / constants.strong_convexity, params.upsilon)
         assert rate(1) <= 1.0 / (4.0 * constants.smoothness) + 1e-15
         assert rate(100) < rate(1)
 
@@ -330,6 +339,28 @@ class TestUtilities:
         true = np.array([0, 1, 2, 2])
         mat = confusion_matrix(pred, true, 3)
         assert mat[0, 0] == 1 and mat[1, 1] == 1 and mat[2, 1] == 1 and mat[2, 2] == 1
+
+    def test_confusion_matrix_matches_loop_oracle_with_absent_classes(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            c = int(rng.integers(2, 8))
+            present = rng.choice(c, size=max(1, c // 2), replace=False)
+            true = rng.choice(present, size=int(rng.integers(1, 60)))
+            pred = rng.choice(present, size=true.size)
+            oracle = np.zeros((c, c), dtype=np.int64)
+            for t, p in zip(true, pred):
+                oracle[t, p] += 1
+            mat = confusion_matrix(pred, true.astype(float), c)
+            assert mat.shape == (c, c) and mat.dtype == np.int64
+            assert np.array_equal(mat, oracle)
+            absent = np.setdiff1d(np.arange(c), present)
+            assert not mat[absent].any() and not mat[:, absent].any()
+
+    def test_confusion_matrix_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 3\)"):
+            confusion_matrix(np.array([0, 3]), np.array([0, 1]), 3)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 3\)"):
+            confusion_matrix(np.array([0, 1]), np.array([-1, 1]), 3)
 
     def test_loglog_slope_recovers_power_law(self):
         t = np.arange(10, 200)

@@ -107,12 +107,15 @@ class TestCliPipeline:
         assert (out / "checkpoints" / "final.bin").exists()
 
     def test_simulate_deterministic(self, tmp_path):
-        out1 = self._simulate(tmp_path / "one")
-        out2 = self._simulate(tmp_path / "two")
-        assert (out1 / "events.jsonl").read_bytes() == (out2 / "events.jsonl").read_bytes()
-        m1 = json.loads((out1 / "manifest.json").read_text())
-        m2 = json.loads((out2 / "manifest.json").read_text())
-        assert m1["config_hash"] == m2["config_hash"]
+        # the inverse schedule is a config value with no JSON scalar form
+        for name, extra in (("constant", []), ("inverse", ["--set", "lr_schedule=inverse"])):
+            out1 = self._simulate(tmp_path / name / "one", *extra)
+            out2 = self._simulate(tmp_path / name / "two", *extra)
+            for artifact in ("events.jsonl", "partitions.csv"):
+                assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes()
+            m1 = json.loads((out1 / "manifest.json").read_text())
+            m2 = json.loads((out2 / "manifest.json").read_text())
+            assert m1["config_hash"] == m2["config_hash"]
 
     def test_audit_partitioned_run_passes(self, tmp_path, capsys):
         out = self._simulate(tmp_path)

@@ -10,7 +10,6 @@ from ltpfleo.partitioning import (
     build_partitions,
     common_window_index,
     common_windows,
-    count_selectable_sets,
     intersect_intervals,
     select_candidates,
 )
@@ -18,6 +17,10 @@ from ltpfleo.partitioning import (
 
 def select(ps, sched, now):
     return select_candidates(ps, sched, now, common_window_index(ps, sched))
+
+
+def members_of(ps, partition_id):
+    return next(p.members for p in ps.partitions if p.id == partition_id)
 
 
 def reference_next_common_window(members, sched, now):
@@ -168,13 +171,6 @@ class TestPartitionValidation:
             PartitionSet(partitions=(Partition(0, (0, 1)), Partition(1, (1, 2))), target_ltp=2)
 
 
-class TestCountSelectableSets:
-    @pytest.mark.parametrize("k,ltp,expected", [(6, 2, 7), (12, 3, 15), (6, 6, 1)])
-    def test_formula(self, k, ltp, expected):
-        sched = make_schedule({i: [(0, 500)] for i in range(k)})
-        assert count_selectable_sets(build_partitions(sched, ltp)) == expected
-
-
 class TestSelectCandidates:
     def _three_partition_setup(self, spans):
         sched = make_schedule({k: [spans[k // 2]] for k in range(6)})
@@ -185,7 +181,7 @@ class TestSelectCandidates:
         # Partition contact maxima 300 / 200 / 500, pairwise disjoint windows.
         ps, sched = self._three_partition_setup({0: (300, 390), 1: (200, 290), 2: (500, 590)})
         cs = select(ps, sched, 0.0)
-        assert sched.next_contact_time(ps.members_of(cs.best_id)[0], 0.0) == 200.0
+        assert sched.next_contact_time(members_of(ps, cs.best_id)[0], 0.0) == 200.0
         assert len(cs.partition_ids) == 1
 
     def test_overlap_extends_candidates(self):
@@ -195,7 +191,7 @@ class TestSelectCandidates:
         ps = build_partitions(sched, 2)
         cs = select(ps, sched, 0.0)
         assert len(cs.partition_ids) == 2
-        best_members = ps.members_of(cs.best_id)
+        best_members = members_of(ps, cs.best_id)
         assert sched.next_contact_time(best_members[0], 0.0) == 200.0
 
     def test_empty_when_no_common_visibility(self):
@@ -239,10 +235,10 @@ class TestSelectCandidates:
                 continue
 
             def worst(pid):
-                contacts = [sched.next_contact_time(s, now) for s in ps.members_of(pid)]
+                contacts = [sched.next_contact_time(s, now) for s in members_of(ps, pid)]
                 if any(c is None for c in contacts):
                     return None
-                if reference_next_common_window(ps.members_of(pid), sched, now) is None:
+                if reference_next_common_window(members_of(ps, pid), sched, now) is None:
                     return None
                 return max(contacts)
 

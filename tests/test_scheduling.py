@@ -86,12 +86,14 @@ class TestRecordRound:
     def test_skipped_round_records_zeros(self):
         log = ParticipationLog([0, 1, 2])
         record_round(log, set(), 1)
-        assert [log.indicator(pid, 1) for pid in (0, 1, 2)] == [0, 0, 0]
+        assert log.rows == [frozenset()]
+        assert [log.frequency(pid, 2) for pid in (0, 1, 2)] == [0, 0, 0]
 
     def test_single_selection_indicators(self):
         log = ParticipationLog([0, 1, 2])
         record_round(log, {1}, 1)
-        assert [log.indicator(pid, 1) for pid in (0, 1, 2)] == [0, 1, 0]
+        assert log.rows == [frozenset({1})]
+        assert [log.frequency(pid, 2) for pid in (0, 1, 2)] == [0, 1, 0]
 
     def test_rejects_duplicate_round(self):
         log = ParticipationLog([0])

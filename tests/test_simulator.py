@@ -5,6 +5,7 @@ import pytest
 
 from conftest import lockstep_schedule, make_schedule
 from ltpfleo.aggregation import ModelCache
+from ltpfleo.config import config_from_header_payload
 from ltpfleo.eventlog import (
     SchemaMismatchError,
     load_checkpoint,
@@ -19,11 +20,12 @@ from ltpfleo.simulator import (
     SimConfig,
     SimulationEngine,
     SimulationError,
+    _jsonable,
     config_digest,
     run,
     run_baseline,
 )
-from ltpfleo.training import LossSpec, SgdConfig, synthesize_data
+from ltpfleo.training import InverseDecayRate, LossSpec, SgdConfig, synthesize_data
 
 
 def quadratic_datasets(k, n=12, seed=0, heterogeneity=0.5):
@@ -304,6 +306,21 @@ class TestDeterminism:
         assert config_digest(a) == config_digest(smoke_config(seed=1))
         assert config_digest(a) != config_digest(b)
 
+    def test_header_round_trip_restores_schedule(self, tmp_path):
+        rate = InverseDecayRate(0.4, 12.0)
+        cfg = smoke_config(sgd=SgdConfig(local_steps=2, learning_rate=rate, mini_batch=4))
+        path = tmp_path / "events.jsonl"
+        run(cfg, event_log_path=path)
+        header, _ = read_event_log(path)
+        restored = config_from_header_payload(header.config)
+        assert restored.sgd.learning_rate == rate
+        assert restored == cfg
+
+    def test_value_without_stable_form_is_rejected(self):
+        cfg = smoke_config(sgd=SgdConfig(learning_rate=lambda step: 0.1))
+        with pytest.raises(TypeError, match="no stable JSON form"):
+            _jsonable(cfg)
+
 
 class TestBaseline:
     def test_single_satellite_network(self):
@@ -382,7 +399,7 @@ class TestBaseline:
             assert not any(rec.skipped for rec in base.records)
 
             start = base.records[0].global_loss
-            floor = min(base.global_losses + part.global_losses)
+            floor = min(r.global_loss for r in base.records + part.records if not r.skipped)
             target = floor + 0.5 * (start - floor)
 
             def rounds_to(records):

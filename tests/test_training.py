@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltpfleo.training import (
     Dataset,
@@ -60,6 +62,36 @@ class TestGradientCorrectness:
             gn = numeric_gradient(lambda v: kernel.loss(v, X, y), w)
             denom = max(np.linalg.norm(ga), np.linalg.norm(gn), 1e-6)
             assert np.linalg.norm(ga - gn) / denom < 1e-4
+
+
+class TestSampleGrads:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["quadratic", "logistic-l2"]),
+        n=st.integers(1, 25),
+        d=st.integers(1, 6),
+        classes=st.integers(2, 6),
+        reg=st.sampled_from([0.0, 1e-3, 0.1, 2.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_single_sample_grads(self, kind, n, d, classes, reg, seed):
+        spec = LossSpec(kind, regularization=reg, num_classes=classes)
+        kernel = make_loss_model(spec, d)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        y = rng.normal(size=n) if kind == "quadratic" else rng.integers(0, classes, size=n)
+        w = rng.normal(size=kernel.dim)
+        rows = kernel.sample_grads(w, X, y)
+        # oracle: grad on one sample at a time
+        oracle = np.stack([kernel.grad(w, X[j : j + 1], y[j : j + 1]) for j in range(n)])
+        assert rows.shape == (n, kernel.dim)
+        scale = max(float(np.max(np.abs(oracle))), 1e-300)
+        np.testing.assert_allclose(rows, oracle, rtol=1e-12, atol=1e-12 * scale)
+        batch = kernel.grad(w, X, y)
+        np.testing.assert_allclose(
+            rows.mean(axis=0), batch, rtol=1e-12,
+            atol=1e-12 * max(float(np.max(np.abs(batch))), scale),
+        )
 
 
 class TestLocalSgd:
@@ -147,6 +179,11 @@ class TestLocalSgd:
         cfg = SgdConfig(local_steps=1, learning_rate=sched)
         assert cfg.rate_at(1) == pytest.approx(2.0 / 9.0)
         assert cfg.rate_at(10) == pytest.approx(2.0 / 18.0)
+
+    @pytest.mark.parametrize("c,offset", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5)])
+    def test_inverse_decay_rejects_bad_parameters(self, c, offset):
+        with pytest.raises(ValueError, match="c > 0"):
+            InverseDecayRate(c, offset)
 
 
 class TestGlobalLoss:
